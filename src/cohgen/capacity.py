@@ -303,8 +303,11 @@ def capacity_qubit(hamiltonian) -> CapacityResult:
     x* maximizing it is found once by golden section (cached).  The optimal
     phase of ρ₀₁ is arg(H₀₁) - π/2.  When H₁₀ = 0 every state has rate 0 and
     the incoherent representative diag(1, 0) is returned.
+
+    H goes through :func:`cohgen.linalg.validate_hermitian`: a non-Hermitian
+    matrix raises ``NotHermitian`` and NaN or Inf entries raise ``ValueError``.
     """
-    h = np.asarray(hamiltonian, dtype=np.complex128)
+    h = validate_hermitian(hamiltonian)
     if h.shape != (2, 2):
         raise DimensionMismatch(f"expected a 2×2 matrix, got shape {h.shape}")
     coupling = abs(complex(h[1, 0]))

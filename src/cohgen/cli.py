@@ -295,10 +295,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError and every validation error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ConvergenceFailure as exc:

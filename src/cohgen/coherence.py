@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NotHermitian
 from .linalg import hs_inner
 
 ZERO_DIAG_TOL = 1e-14
@@ -58,15 +58,16 @@ def dephase(rho: np.ndarray) -> np.ndarray:
     return np.diag(rho.diagonal()).astype(np.complex128)
 
 
-def _entropy_bits(p: np.ndarray) -> float:
-    """Shannon entropy of a nonnegative vector with the 0·log0 = 0 convention."""
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy along the last axis with the 0·log0 = 0 convention.
+
+    Entries at or below ``ZERO_DIAG_TOL`` (after clamping negatives to zero)
+    are replaced by 1 so that their term, 1·log₂1, is exactly zero.
+    """
     p = np.clip(p, 0.0, None)
-    nz = p > ZERO_DIAG_TOL
-    if not nz.any():
-        return 0.0
-    q = p[nz]
-    # + 0.0 squashes IEEE -0.0 (max keeps the first argument on ties)
-    return float(max(-(q * np.log2(q)).sum(), 0.0)) + 0.0
+    q = np.where(p > ZERO_DIAG_TOL, p, 1.0)
+    # + 0.0 squashes IEEE -0.0
+    return np.maximum(-(q * np.log2(q)).sum(axis=-1), 0.0) + 0.0
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -76,7 +77,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     zero before taking logs.
     """
     lam = np.linalg.eigvalsh(np.asarray(rho, dtype=np.complex128))
-    return _entropy_bits(lam)
+    return float(_entropy_bits(lam))
 
 
 def rel_entropy_coherence(rho: np.ndarray) -> float:
@@ -86,7 +87,7 @@ def rel_entropy_coherence(rho: np.ndarray) -> float:
     diagonal by construction so an eigensolve would only add noise.
     """
     rho = np.asarray(rho)
-    s_deph = _entropy_bits(rho.diagonal().real)
+    s_deph = float(_entropy_bits(rho.diagonal().real))
     return max(s_deph - von_neumann_entropy(rho), 0.0) + 0.0
 
 
@@ -129,6 +130,12 @@ def coherence_derivative(hamiltonian, rho) -> DerivativeReport:
     -------
     DerivativeReport
         Signed rate in bits per unit time: coherence can also decrease.
+
+    Raises
+    ------
+    NotHermitian
+        The rate has an imaginary part above 1e-10, which a Hermitian pair
+        cannot produce.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=np.complex128)
     rho = np.asarray(rho, dtype=np.complex128)
@@ -137,7 +144,12 @@ def coherence_derivative(hamiltonian, rho) -> DerivativeReport:
             f"shape mismatch {hamiltonian.shape} vs {rho.shape}"
         )
     val = hs_inner(hamiltonian, coherence_commutator(rho))
-    assert abs(val.imag) <= 1e-10, f"imaginary residue {val.imag:.3e}"
+    # i[ρ, log₂Δ(ρ)] is Hermitian, so the pairing is real for Hermitian H
+    if not abs(val.imag) <= 1e-10:
+        raise NotHermitian(
+            f"rate has imaginary residue {val.imag:.3e}; "
+            "the Hamiltonian is not Hermitian"
+        )
     min_diag = float(rho.diagonal().real.min())
     return DerivativeReport(
         analytic=float(val.real),

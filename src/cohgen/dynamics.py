@@ -8,9 +8,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import rel_entropy_coherence, von_neumann_entropy
+from .coherence import _entropy_bits, rel_entropy_coherence, von_neumann_entropy
 from .errors import DimensionMismatch, SingularState
 from .linalg import eig_hermitian, unitary_exp, validate_density
+
+# Matrix entries per block of the stacked conjugation in `trajectory`.  A
+# whole 2000-point grid at d = 32 in one block would hold several (2000, 32,
+# 32) complex temporaries at once; blocks keep them a fixed size instead.
+# The states stay in their per-block stacks too: copying them into one
+# (T, d, d) array raised the orbit_scan benchmark's peak RSS from 78 to 106 MB.
+_BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,16 @@ def evolve(rho, hamiltonian, t: float) -> np.ndarray:
 def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
     """Sample the orbit t ↦ e^{-iHt} ρ e^{iHt} on an ascending time grid.
 
-    H is diagonalized once; each sample reuses the eigenbasis, so the cost is
-    one eigensolve plus O(d²) per grid point for the conjugation.
+    H is diagonalized once.  The grid is then taken in blocks: each block is
+    one stacked conjugation W ρ' W† with W = V diag(e^{-iλt}) and ρ' = V†ρV,
+    and one stacked ``eigvalsh`` whose eigenvalues give both the entropy and,
+    with the diagonal, the coherence.  Per grid point that is two d×d complex
+    matrix products and one Hermitian eigenvalue solve, O(d³); the entropy
+    is recomputed from every sampled state, never copied from S(ρ), so it
+    stays a check on the conjugation.  A block holds at most
+    ``_BLOCK_ENTRIES`` matrix entries (about 0.5 MB of complex128 per
+    temporary), so the working memory beyond the returned states does not
+    grow with the grid.  ``states`` are read-only views into the block stacks.
     """
     rho, hamiltonian = _check_shapes(rho, hamiltonian)
     t_grid = np.asarray(t_grid, dtype=np.float64).reshape(-1)
@@ -65,17 +80,21 @@ def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
         raise ValueError("time grid must be strictly ascending")
     lam, vec = eig_hermitian(hamiltonian)
     rho_eig = vec.conj().T @ rho @ vec
+    d = rho.shape[0]
+    block = max(1, _BLOCK_ENTRIES // (d * d))
     states = []
-    coh = np.empty(t_grid.size)
     ent = np.empty(t_grid.size)
-    for k, t in enumerate(t_grid):
-        phase = np.exp(-1j * lam * t)
-        rho_t = (vec * phase) @ rho_eig @ (vec * phase).conj().T
-        rho_t = (rho_t + rho_t.conj().T) / 2
+    s_diag = np.empty(t_grid.size)
+    for start in range(0, t_grid.size, block):
+        part = slice(start, start + block)
+        w = vec * np.exp(-1j * lam * t_grid[part, None])[:, None, :]
+        rho_t = w @ rho_eig @ w.conj().swapaxes(-1, -2)
+        rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2
         rho_t.setflags(write=False)
-        states.append(rho_t)
-        coh[k] = rel_entropy_coherence(rho_t)
-        ent[k] = von_neumann_entropy(rho_t)
+        states.extend(rho_t)
+        ent[part] = _entropy_bits(np.linalg.eigvalsh(rho_t))
+        s_diag[part] = _entropy_bits(rho_t.diagonal(axis1=-2, axis2=-1).real)
+    coh = np.maximum(s_diag - ent, 0.0) + 0.0
     return Trajectory(times=t_grid, states=tuple(states), coherence=coh, entropy=ent)
 
 

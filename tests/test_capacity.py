@@ -5,6 +5,7 @@ from cohgen import (
     DimensionMismatch,
     InvalidGamma,
     NoConvergence,
+    NotHermitian,
     ResolutionTooLarge,
     SolverConfig,
     SolverMethod,
@@ -195,6 +196,16 @@ def test_qubit_phase_and_diagonal_covariance():
 def test_qubit_requires_2x2():
     with pytest.raises(DimensionMismatch):
         capacity_qubit(np.eye(3))
+
+
+def test_qubit_rejects_non_hermitian():
+    with pytest.raises(NotHermitian):
+        capacity_qubit(np.array([[0.0, 1.0], [5.0, 0.0]]))
+
+
+def test_qubit_rejects_nan():
+    with pytest.raises(ValueError, match="NaN"):
+        capacity_qubit(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
 def test_qubit_argmax_is_valid_state():

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import cohgen
 from cohgen import (
     DimensionMismatch,
     coherence_commutator,
@@ -125,6 +130,26 @@ def test_derivative_flags_boundary_states():
     psi = np.array([1.0, 0.0])
     rep = coherence_derivative(np.eye(2), np.outer(psi, psi))
     assert rep.boundary is True
+
+
+def test_derivative_rejects_non_hermitian_under_optimize():
+    # python -O strips asserts; the imaginary-residue guard must still raise
+    code = (
+        "import numpy as np\n"
+        "from cohgen import NotHermitian, coherence_derivative\n"
+        "rho = np.array([[0.3, 0.2], [0.2, 0.7]])\n"
+        "try:\n"
+        "    coherence_derivative(np.array([[0.0, 1.0], [0.0, 0.0]]), rho)\n"
+        "except NotHermitian:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cohgen.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_derivative_dim_mismatch():

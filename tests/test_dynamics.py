@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cohgen.dynamics
 from cohgen import (
     DimensionMismatch,
     SingularState,
@@ -12,7 +13,9 @@ from cohgen import (
     random_density,
     random_hermitian,
     rel_entropy_coherence,
+    run_checks,
     trajectory,
+    von_neumann_entropy,
 )
 from refvals import RATE_083
 
@@ -95,6 +98,76 @@ def test_trajectory_grid_must_ascend():
         trajectory(rho, h, np.array([]))
     with pytest.raises(ValueError):
         trajectory(rho, h, np.array([0.0, 1.0, 0.5]))
+
+
+def _reference_trajectory(rho, h, grid):
+    """Point-by-point orbit: one conjugation and two scalar entropy calls per time."""
+    lam, vec = np.linalg.eigh(h)
+    rho_eig = vec.conj().T @ rho @ vec
+    states, coh, ent = [], [], []
+    for t in grid:
+        w = vec * np.exp(-1j * lam * t)
+        rho_t = w @ rho_eig @ w.conj().T
+        rho_t = (rho_t + rho_t.conj().T) / 2
+        states.append(rho_t)
+        coh.append(rel_entropy_coherence(rho_t))
+        ent.append(von_neumann_entropy(rho_t))
+    return np.array(states), np.array(coh), np.array(ent)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 32])
+@pytest.mark.parametrize("rank", ["pure", "full"])
+def test_trajectory_matches_point_by_point_reference(d, rank):
+    rng = np.random.default_rng([d, rank == "pure"])
+    if rank == "pure":
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi /= np.linalg.norm(psi)
+        rho = np.outer(psi, psi.conj())
+    else:
+        rho = random_density(d, rng, mix=0.1)
+    h = random_hermitian(d, rng)
+    block = max(1, cohgen.dynamics._BLOCK_ENTRIES // (d * d))
+    # grid lengths on both sides of a block edge, and a long multi-block grid;
+    # every grid is a prefix of the longest, so one reference run covers all
+    lengths = sorted({1, block - 1, block, block + 1, 2000} - {0})
+    full_grid = 0.002 * np.arange(lengths[-1])
+    states, coh, ent = _reference_trajectory(rho, h, full_grid)
+    for n in lengths:
+        traj = trajectory(rho, h, full_grid[:n])
+        assert len(traj) == n
+        assert np.abs(np.array(traj.states) - states[:n]).max() <= 1e-12
+        assert np.abs(traj.coherence - coh[:n]).max() <= 1e-12
+        assert np.abs(traj.entropy - ent[:n]).max() <= 1e-12
+
+
+def test_trajectory_states_are_read_only():
+    rng = np.random.default_rng(10)
+    rho = random_density(3, rng)
+    traj = trajectory(rho, random_hermitian(3, rng), np.linspace(0.0, 1.0, 7))
+    assert len(traj) == len(traj.states) == 7
+    for state in traj.states:
+        assert state.shape == (3, 3)
+        assert not state.flags.writeable
+        with pytest.raises(ValueError):
+            state[0, 0] = 1.0
+
+
+def test_entropy_check_catches_non_unitary_eigenbasis(monkeypatch):
+    # Scaling one row of V makes the conjugation non-unitary in a way that
+    # changes the spectrum along the orbit.  (A uniform scale would not: it
+    # multiplies every state by the same constant.)  The check only sees this
+    # because the entropy is recomputed from each sampled state.
+    original = cohgen.dynamics.eig_hermitian
+
+    def skewed_eig(h):
+        lam, vec = original(h)
+        vec = vec.copy()
+        vec[0] *= 1.01
+        return lam, vec
+
+    monkeypatch.setattr(cohgen.dynamics, "eig_hermitian", skewed_eig)
+    failed = {r.name for r in run_checks("fast", seed=0) if not r.passed}
+    assert "entropy_constant_along_orbit" in failed
 
 
 def test_fd_zero_for_full_support_diagonal():
