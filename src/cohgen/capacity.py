@@ -47,6 +47,13 @@ class SolverMethod(enum.Enum):
 class SolverConfig:
     """Knobs for :func:`capacity_numeric`.
 
+    ``restarts`` starting states are drawn in turn from one
+    ``default_rng(seed)`` and ascended together as one batch, so the run
+    time follows the slowest restart: one pass per line-search candidate,
+    at most ``max_iters`` accepted steps per restart, each pass a few numpy
+    calls on a (restarts, d) array.  A restart stops when its projected
+    gradient norm reaches ``grad_tol``; ``step_init`` is its first trial step.
+
     ``mixed`` switches the search from pure states to a full density-matrix
     parameterization (ρ = AA†/Tr[AA†]).  It exists to probe numerically
     whether mixed states can beat pure ones — no run has ever shown that —
@@ -342,7 +349,7 @@ def capacity_qubit(hamiltonian) -> CapacityResult:
 # Projected gradient ascent
 
 def _floor_renorm(psi: np.ndarray) -> np.ndarray:
-    """Push squared amplitudes below the floor up to 1e-6 and renormalize.
+    """Push squared amplitudes below the floor up to 1e-6 and renormalize each row.
 
     The objective's gradient divides by conjugate amplitudes, so iterates
     must keep every component bounded away from zero.
@@ -354,150 +361,135 @@ def _floor_renorm(psi: np.ndarray) -> np.ndarray:
         mag = np.abs(psi[small])
         phase = np.where(mag > 0, psi[small] / np.where(mag > 0, mag, 1.0), 1.0)
         psi[small] = 1e-6 * phase
-    return psi / np.linalg.norm(psi)
+    return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
 
 
-def _pure_objective(h: np.ndarray, psi: np.ndarray) -> float:
-    """Coherence rate of |ψ⟩⟨ψ| under h: -2 Σ_k log₂|ψ_k|² Im[ψ̄_k (hψ)_k]."""
+def _pure_value_and_grad(h: np.ndarray, psi: np.ndarray):
+    """Coherence rate of each |ψ⟩⟨ψ| under h and its projected gradient, one row per ψ.
+
+    The rate is -2 Σ_k log₂|ψ_k|² Im[ψ̄_k (hψ)_k]; the gradient is the
+    Wirtinger gradient ∂J/∂ψ̄ projected to the tangent space of the sphere.
+    """
     logp = np.log2(np.abs(psi) ** 2)
-    z = psi.conj() * (h @ psi)
-    return -2.0 * float((logp * z.imag).sum())
-
-
-def _pure_gradient(h: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Wirtinger gradient ∂J/∂ψ̄ projected to the tangent space of the sphere."""
-    logp = np.log2(np.abs(psi) ** 2)
-    hpsi = h @ psi
+    hpsi = psi @ h.T
     z = psi.conj() * hpsi
-    grad = 1j * (logp * hpsi - h @ (logp * psi)) - (2.0 / LN2) * z.imag / psi.conj()
-    grad -= np.vdot(psi, grad) * psi
-    return grad
-
-
-def _ascend_pure(h: np.ndarray, psi0: np.ndarray, cfg: SolverConfig):
-    psi = _floor_renorm(psi0)
-    value = _pure_objective(h, psi)
-    step = cfg.step_init
-    converged = False
-    for _ in range(cfg.max_iters):
-        grad = _pure_gradient(h, psi)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= cfg.grad_tol:
-            converged = True
-            break
-        resolution = 1e-14 * max(1.0, abs(value))
-        s = step
-        accepted = False
-        for k in range(_MAX_BACKTRACKS):
-            cand = _floor_renorm(psi + s * grad)
-            cand_value = _pure_objective(h, cand)
-            rise = _ARMIJO_C * s * gnorm * gnorm
-            if rise > resolution:
-                if cand_value >= value + rise:
-                    accepted = True
-                    break
-            else:
-                # The Armijo increase is below the floating-point resolution
-                # of the objective (we are inside the quadratic cap of the
-                # maximum), where a value test would accept equal-J steps
-                # that wander.  Demand a strict drop in the first-order
-                # optimality norm instead.
-                cand_gnorm = float(np.linalg.norm(_pure_gradient(h, cand)))
-                if cand_gnorm < gnorm and cand_value >= value - 100 * resolution:
-                    accepted = True
-                    break
-            s *= 0.5
-        if not accepted:
-            break  # numerically stationary but gradient above tol: not converged
-        psi, value = cand, cand_value
-        step = 2.0 * s if k == 0 else s
-    rho = np.outer(psi, psi.conj())
-    return value, (rho + rho.conj().T) / 2, converged
+    value = -2.0 * (logp * z.imag).sum(axis=-1)
+    grad = 1j * (logp * hpsi - (logp * psi) @ h.T) - (2.0 / LN2) * z.imag / psi.conj()
+    grad -= (psi.conj() * grad).sum(axis=-1, keepdims=True) * psi
+    return value, grad
 
 
 def _rho_from_factor(a: np.ndarray) -> np.ndarray:
-    rho = a @ a.conj().T
-    return (rho + rho.conj().T) / 2
+    rho = a @ a.conj().swapaxes(-1, -2)
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
 def _floor_factor(a: np.ndarray) -> np.ndarray:
-    """Keep every diagonal of AA†/Tr[AA†] above the floor; unit Frobenius norm."""
-    a = a / np.linalg.norm(a)
-    rows = (np.abs(a) ** 2).sum(axis=1)
-    small = rows < _FLOOR
+    """Keep every diagonal of AA†/Tr[AA†] above the floor; unit Frobenius norm per factor."""
+    a = a / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
+    small = (np.abs(a) ** 2).sum(axis=-1) < _FLOOR
     if small.any():
-        a = a.copy()
-        for k in np.nonzero(small)[0]:
-            akk = a[k, k]
-            phase = akk / abs(akk) if abs(akk) > 0 else 1.0
-            a[k, k] = akk + 1e-6 * phase
-        a = a / np.linalg.norm(a)
+        r, k = np.nonzero(small)
+        akk = a[r, k, k]
+        mag = np.abs(akk)
+        a[r, k, k] = akk + 1e-6 * np.where(mag > 0, akk / np.where(mag > 0, mag, 1.0), 1.0)
+        hit = small.any(axis=-1)
+        a[hit] /= np.linalg.norm(a[hit], axis=(-2, -1), keepdims=True)
     return a
 
 
-def _mixed_objective_parts(h: np.ndarray, a: np.ndarray):
+def _mixed_value_and_grad(h: np.ndarray, a: np.ndarray):
+    """Rate of each ρ = AA† (unit-norm factors) under h and its gradient in A."""
     rho = _rho_from_factor(a)
-    logp = np.log2(rho.diagonal().real)
-    gmat = 1j * (logp[:, None] * h - h * logp[None, :])  # i [diag(logp), h]
-    value = float((gmat * rho.T).sum().real)             # Tr(G ρ)
-    return value, rho, gmat
+    p = rho.diagonal(axis1=-2, axis2=-1).real
+    logp = np.log2(p)
+    gmat = 1j * (logp[..., :, None] * h - h * logp[..., None, :])  # i [diag(logp), h]
+    value = (gmat * rho.swapaxes(-1, -2)).sum(axis=(-2, -1)).real   # Tr(G ρ)
+    hrho_diag_im = (h @ rho).diagonal(axis1=-2, axis2=-1).imag
+    w = gmat - (2.0 / LN2) * (hrho_diag_im / p)[..., None] * np.eye(len(h))
+    return value, w @ a - value[:, None, None] * a
 
 
-def _mixed_gradient(h, a, value, rho, gmat):
-    hrho_diag_im = (h @ rho).diagonal().imag
-    w = gmat - (2.0 / LN2) * np.diag(hrho_diag_im / rho.diagonal().real)
-    return w @ a - value * a
+def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, cfg: SolverConfig):
+    """Riemannian gradient ascent with Armijo backtracking, all restarts at once.
 
+    ``x0`` holds one starting point per row; ``retract`` maps a stack of
+    points back onto the search manifold and ``value_and_grad`` returns the
+    objective and its tangent gradient for a stack (Absil, Mahony &
+    Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008).
 
-def _ascend_mixed(h: np.ndarray, a0: np.ndarray, cfg: SolverConfig):
-    a = _floor_factor(a0)
-    value, rho, gmat = _mixed_objective_parts(h, a)
-    step = cfg.step_init
-    converged = False
-    for _ in range(cfg.max_iters):
-        grad = _mixed_gradient(h, a, value, rho, gmat)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= cfg.grad_tol:
-            converged = True
-            break
-        resolution = 1e-14 * max(1.0, abs(value))
-        s = step
-        accepted = False
-        for k in range(_MAX_BACKTRACKS):
-            cand = _floor_factor(a + s * grad)
-            cand_value, cand_rho, cand_gmat = _mixed_objective_parts(h, cand)
-            rise = _ARMIJO_C * s * gnorm * gnorm
-            if rise > resolution:
-                if cand_value >= value + rise:
-                    accepted = True
-                    break
-            else:
-                # Same noise-floor handling as the pure ascent: once the
-                # objective can no longer resolve the Armijo increase, accept
-                # only steps that strictly shrink the gradient norm.
-                cand_grad = _mixed_gradient(
-                    h, cand, cand_value, cand_rho, cand_gmat
-                )
-                cand_gnorm = float(np.linalg.norm(cand_grad))
-                if cand_gnorm < gnorm and cand_value >= value - 100 * resolution:
-                    accepted = True
-                    break
-            s *= 0.5
-        if not accepted:
-            break
-        a, value, rho, gmat = cand, cand_value, cand_rho, cand_gmat
-        step = 2.0 * s if k == 0 else s
-    return value, rho, converged
+    Every row follows the one-restart iteration: from step s, try
+    ``retract(x + s·grad)``, halve s on rejection (at most
+    ``_MAX_BACKTRACKS`` times), and start the next line search at 2s if the
+    first try was accepted, else at s.  A row stops when its gradient norm
+    reaches ``cfg.grad_tol`` (converged), when no step is accepted
+    (stalled) or after ``cfg.max_iters`` accepted steps.  Each pass
+    evaluates one candidate of every live row, whatever stage its line
+    search is at, so a solve costs as many passes as its slowest row has
+    candidates.  The gradient of an accepted candidate is that of the next
+    iterate, so it is never recomputed.
+
+    Returns the final points, their values and a converged flag per row.
+    """
+    x = retract(x0)
+    value, grad = value_and_grad(x)
+    gnorm = np.linalg.norm(grad.reshape(len(x), -1), axis=-1)
+    out_x, out_value = np.empty_like(x), np.empty(len(x))
+    converged = np.zeros(len(x), dtype=bool)
+    rows = np.arange(len(x))            # restart index of each live row
+    s = np.full(len(x), cfg.step_init)  # step of the row's next candidate
+    k = np.zeros(len(x), dtype=int)     # backtracks so far in its line search
+    iters = np.zeros(len(x), dtype=int)
+    conv = done = gnorm <= cfg.grad_tol
+    while True:
+        if done.any():
+            out_x[rows[done]], out_value[rows[done]] = x[done], value[done]
+            converged[rows[done]] = conv[done]
+            live = ~done
+            rows, x, value, grad, gnorm, s, k, iters = (
+                v[live] for v in (rows, x, value, grad, gnorm, s, k, iters)
+            )
+            if not rows.size:
+                return out_x, out_value, converged
+        per_row = (-1,) + (1,) * (x.ndim - 1)
+        cand = retract(x + s.reshape(per_row) * grad)
+        cand_value, cand_grad = value_and_grad(cand)
+        cand_gnorm = np.linalg.norm(cand_grad.reshape(len(cand), -1), axis=-1)
+        resolution = 1e-14 * np.maximum(1.0, np.abs(value))
+        rise = _ARMIJO_C * s * gnorm * gnorm
+        # Where the Armijo increase is below the floating-point resolution of
+        # the objective (inside the quadratic cap of a maximum), a value test
+        # would accept equal-J steps that wander; demand a strict drop in the
+        # first-order optimality norm instead.
+        ok = np.where(
+            rise > resolution,
+            cand_value >= value + rise,
+            (cand_gnorm < gnorm) & (cand_value >= value - 100 * resolution),
+        )
+        take = ok.reshape(per_row)
+        x = np.where(take, cand, x)
+        grad = np.where(take, cand_grad, grad)
+        value = np.where(ok, cand_value, value)
+        gnorm = np.where(ok, cand_gnorm, gnorm)
+        s = np.where(ok, np.where(k == 0, 2.0 * s, s), 0.5 * s)
+        k = np.where(ok, 0, k + 1)
+        iters += ok
+        conv = ok & (gnorm <= cfg.grad_tol) & (iters < cfg.max_iters)
+        done = conv | (ok & (iters == cfg.max_iters)) | (k == _MAX_BACKTRACKS)
 
 
 def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityResult:
     """Capacity of a Hamiltonian by gradient ascent over states, any dimension.
 
-    Runs ``cfg.restarts`` independent ascents from random starting states
-    drawn from ``default_rng(cfg.seed)`` (so results are deterministic for a
-    fixed config) and keeps the best.  Each ascent follows the analytic
-    gradient of the coherence rate, projected to the unit sphere, with an
-    Armijo backtracking line search.
+    Runs ``cfg.restarts`` ascents from random starting states drawn in turn
+    from one ``default_rng(cfg.seed)`` (so results are deterministic for a
+    fixed config) and keeps the best, the first restart holding the largest
+    value.  Each ascent follows the analytic gradient of the coherence rate,
+    projected to the unit sphere, with an Armijo backtracking line search.
+    The restarts advance together as one (restarts, d) array
+    (:func:`_armijo_ascent`), one pass per line-search candidate, so the
+    cost is set by the slowest restart's iterations rather than the sum over
+    restarts, and a pass costs little more with 32 rows than with one.
 
     Raises :class:`NoConvergence` — with the best-effort result attached —
     when no restart brings the gradient norm below ``cfg.grad_tol``.
@@ -510,19 +502,20 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     if d < 2:
         raise DimensionMismatch(f"dimension must be ≥ 2, got {d}")
     rng = np.random.default_rng(cfg.seed)
-    best_value = -np.inf
-    best_rho = None
-    any_converged = False
-    for _ in range(cfg.restarts):
-        if cfg.mixed:
-            a0 = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            value, rho, conv = _ascend_mixed(h, a0, cfg)
-        else:
-            psi0 = random_pure_state(d, rng)
-            value, rho, conv = _ascend_pure(h, psi0, cfg)
-        any_converged = any_converged or conv
-        if value > best_value:
-            best_value, best_rho = value, rho
+    if cfg.mixed:
+        x0 = np.array([
+            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for _ in range(cfg.restarts)
+        ])
+        value_and_grad, retract = (lambda a: _mixed_value_and_grad(h, a)), _floor_factor
+    else:
+        x0 = np.array([random_pure_state(d, rng) for _ in range(cfg.restarts)])
+        value_and_grad, retract = (lambda psi: _pure_value_and_grad(h, psi)), _floor_renorm
+    x, values, converged = _armijo_ascent(x0, value_and_grad, retract, cfg)
+    best = int(np.argmax(values))  # the first of equal maxima
+    best_rho = _rho_from_factor(x[best] if cfg.mixed else x[best][:, None])
+    best_value = values[best]
+    any_converged = bool(converged.any())
     if best_value < 0.0:
         # Every ascent got stuck below zero (essentially-diagonal h). The
         # uniform-magnitude state has rate exactly 0, which is always
@@ -530,7 +523,6 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
         psi = np.full(d, 1.0 / math.sqrt(d), dtype=np.complex128)
         best_rho = np.outer(psi, psi.conj())
         best_value = 0.0
-    best_rho = best_rho.copy()
     best_rho.setflags(write=False)
     result = CapacityResult(
         value=float(best_value) + 0.0,  # squash IEEE -0.0 from stuck ascents

@@ -10,7 +10,7 @@ import numpy as np
 
 from .coherence import _entropy_bits, rel_entropy_coherence, von_neumann_entropy
 from .errors import DimensionMismatch, SingularState
-from .linalg import eig_hermitian, unitary_exp, validate_density
+from .linalg import eig_hermitian, validate_density
 
 # Matrix entries per block of the stacked conjugation in `trajectory`.  A
 # whole 2000-point grid at d = 32 in one block would hold several (2000, 32,
@@ -49,13 +49,19 @@ def _check_shapes(rho, hamiltonian):
     return rho, hamiltonian
 
 
+def _rotate(rho, lam, vec, t: float) -> np.ndarray:
+    """e^{-iHt} ρ e^{iHt} from the eigendecomposition H = V diag(λ) V†."""
+    u = (vec * np.exp(-1j * lam * t)) @ vec.conj().T
+    return u @ rho @ u.conj().T
+
+
 def evolve(rho, hamiltonian, t: float) -> np.ndarray:
     """Conjugate ρ by exp(-i t H); the result is revalidated as a density matrix."""
     rho, hamiltonian = _check_shapes(rho, hamiltonian)
     if not np.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t}")
-    u = unitary_exp(hamiltonian, t)
-    return validate_density(u @ rho @ u.conj().T)
+    lam, vec = eig_hermitian(hamiltonian)
+    return validate_density(_rotate(rho, lam, vec, t))
 
 
 def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
@@ -108,12 +114,17 @@ def fd_derivative(rho, hamiltonian, h: float, richardson: bool = False) -> float
 
     With ``richardson=True`` the h and h/2 estimates are combined,
     ``(4 D(h/2) - D(h))/3``, cancelling the leading O(h²) truncation term.
+    H is diagonalized and ρ validated once; each orbit point then costs
+    two matrix products and the coherence's eigensolve.
     """
     _validate_step(h)
+    rho, hamiltonian = _check_shapes(rho, hamiltonian)
+    lam, vec = eig_hermitian(hamiltonian)
+    rho = validate_density(rho)
 
     def central(step):
-        plus = rel_entropy_coherence(evolve(rho, hamiltonian, step))
-        minus = rel_entropy_coherence(evolve(rho, hamiltonian, -step))
+        plus = rel_entropy_coherence(_rotate(rho, lam, vec, step))
+        minus = rel_entropy_coherence(_rotate(rho, lam, vec, -step))
         return (plus - minus) / (2 * step)
 
     if richardson:
@@ -136,8 +147,10 @@ def entropy_derivative_check(rho, hamiltonian, h: float) -> EntropyDerivativeRep
         raise SingularState(
             f"state eigenvalue {lam.min():.3e} below 1e-10; log₂ρ is not finite"
         )
-    s_plus = von_neumann_entropy(evolve(rho, hamiltonian, h))
-    s_minus = von_neumann_entropy(evolve(rho, hamiltonian, -h))
+    h_lam, h_vec = eig_hermitian(hamiltonian)
+    validate_density(rho)
+    s_plus = von_neumann_entropy(_rotate(rho, h_lam, h_vec, h))
+    s_minus = von_neumann_entropy(_rotate(rho, h_lam, h_vec, -h))
     lhs = (s_plus - s_minus) / (2 * h)
     log_rho = (vec * np.log2(lam)) @ vec.conj().T
     rho_dot = -1j * (hamiltonian @ rho - rho @ hamiltonian)

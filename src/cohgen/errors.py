@@ -2,7 +2,7 @@
 
 Validation failures subclass ``ValueError`` so that callers who do not care
 about the fine-grained reason can catch the base class; solver failures
-subclass ``RuntimeError``.
+are ``ConvergenceFailure``, a ``RuntimeError``.
 """
 
 
@@ -46,10 +46,12 @@ class ConvergenceFailure(RuntimeError):
     """An iterative routine exceeded its iteration cap."""
 
 
-class NoConvergence(RuntimeError):
+class NoConvergence(ConvergenceFailure):
     """No solver restart reached the gradient tolerance.
 
-    The best value found is still attached so callers can inspect it::
+    A :class:`ConvergenceFailure`, so one handler covers every iterative
+    routine.  The best value found is still attached so callers can inspect
+    it::
 
         try:
             res = capacity_numeric(H, cfg)

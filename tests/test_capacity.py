@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,9 +25,11 @@ from cohgen import (
     optimal_state,
     random_density,
     random_hermitian,
+    random_pure_state,
     simplex_grid_oracle,
     surprisal_variance,
     validate_density,
+    validate_hermitian,
     validate_prob_vector,
 )
 from refvals import (
@@ -283,6 +288,153 @@ def test_numeric_starved_solver_reports_payload():
     assert best is not None
     assert best.converged is False
     assert 0.0 <= best.value <= capacity_qubit(h).value + 1e-9
+
+
+# Scalar reference: the one-restart-at-a-time ascent that `_armijo_ascent`
+# replaced, kept as written (plus a step count) as the oracle for its
+# per-row logic.
+
+def _ref_floor_renorm(psi):
+    p = np.abs(psi) ** 2
+    small = p < 1e-12
+    if small.any():
+        psi = psi.copy()
+        mag = np.abs(psi[small])
+        phase = np.where(mag > 0, psi[small] / np.where(mag > 0, mag, 1.0), 1.0)
+        psi[small] = 1e-6 * phase
+    return psi / np.linalg.norm(psi)
+
+
+def _ref_objective(h, psi):
+    logp = np.log2(np.abs(psi) ** 2)
+    z = psi.conj() * (h @ psi)
+    return -2.0 * float((logp * z.imag).sum())
+
+
+def _ref_gradient(h, psi):
+    logp = np.log2(np.abs(psi) ** 2)
+    hpsi = h @ psi
+    z = psi.conj() * hpsi
+    grad = 1j * (logp * hpsi - h @ (logp * psi)) - (2.0 / math.log(2.0)) * z.imag / psi.conj()
+    grad -= np.vdot(psi, grad) * psi
+    return grad
+
+
+def _ref_ascend_pure(h, psi0, cfg):
+    """(value, converged, accepted steps) of one restart."""
+    psi = _ref_floor_renorm(psi0)
+    value = _ref_objective(h, psi)
+    step = cfg.step_init
+    converged = False
+    steps = 0
+    for _ in range(cfg.max_iters):
+        grad = _ref_gradient(h, psi)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= cfg.grad_tol:
+            converged = True
+            break
+        resolution = 1e-14 * max(1.0, abs(value))
+        s = step
+        accepted = False
+        for k in range(60):
+            cand = _ref_floor_renorm(psi + s * grad)
+            cand_value = _ref_objective(h, cand)
+            rise = 1e-4 * s * gnorm * gnorm
+            if rise > resolution:
+                if cand_value >= value + rise:
+                    accepted = True
+                    break
+            else:
+                cand_gnorm = float(np.linalg.norm(_ref_gradient(h, cand)))
+                if cand_gnorm < gnorm and cand_value >= value - 100 * resolution:
+                    accepted = True
+                    break
+            s *= 0.5
+        if not accepted:
+            break
+        psi, value = cand, cand_value
+        step = 2.0 * s if k == 0 else s
+        steps += 1
+    return value, converged, steps
+
+
+def _ref_capacity(hamiltonian, cfg):
+    """(value, converged) of the best restart, run one restart at a time."""
+    h = validate_hermitian(hamiltonian)
+    rng = np.random.default_rng(cfg.seed)
+    best_value = -np.inf
+    any_converged = False
+    for _ in range(cfg.restarts):
+        value, conv, _ = _ref_ascend_pure(h, random_pure_state(h.shape[0], rng), cfg)
+        any_converged = any_converged or conv
+        if value > best_value:
+            best_value = value
+    return max(best_value, 0.0) + 0.0, any_converged
+
+
+def _disguised_matched(d, rng):
+    """optimal_hamiltonian(d) under a random diagonal phase and permutation."""
+    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d))
+    h = phase[:, None] * optimal_hamiltonian(d) * phase.conj()[None, :]
+    perm = rng.permutation(d)
+    return h[np.ix_(perm, perm)]
+
+
+def _equivalence_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for d in (2, 3, 8, 32):
+        for kind in ("random", "matched"):
+            if kind == "random":
+                h = random_hermitian(d, rng, hs_normalized=True)
+            else:
+                h = _disguised_matched(d, rng)
+            for restarts in (1, 7, 32):
+                cfg = SolverConfig(restarts=restarts, seed=int(rng.integers(2**31)))
+                cases.append(pytest.param(h, cfg, id=f"d{d}-{kind}-r{restarts}"))
+    for d in (3, 8):
+        cfg = SolverConfig(restarts=7, max_iters=1, seed=d)
+        cases.append(pytest.param(random_hermitian(d, rng), cfg, id=f"d{d}-starved"))
+    cfg = SolverConfig(restarts=4, seed=0)
+    cases.append(pytest.param(np.zeros((2, 2)), cfg, id="zero"))
+    cases.append(pytest.param(np.diag([1.0, -2.0, 0.5]), cfg, id="diagonal"))
+    # Standing defect, kept as found: on this random qubit H every one of the
+    # 32 restarts zig-zags slowly and stops at max_iters, so the solve raises
+    # NoConvergence although its value equals the closed form.  The fix is a
+    # better ascent at d = 2, not a looser tolerance.
+    seed203 = np.array([
+        [-0.3799007026462819, -0.20650968977976122 - 0.3411304944555071j],
+        [-0.20650968977976122 + 0.3411304944555071j, 0.7332413815982273],
+    ])
+    cfg = SolverConfig(restarts=32, seed=36916922)
+    cases.append(pytest.param(seed203, cfg, id="qubit-seed203-max-iters"))
+    return cases
+
+
+@pytest.mark.parametrize("h, cfg", _equivalence_cases())
+def test_batched_restarts_match_scalar_reference(h, cfg):
+    ref_value, ref_converged = _ref_capacity(h, cfg)
+    if ref_converged:
+        res = capacity_numeric(h, cfg)
+    else:
+        with pytest.raises(NoConvergence) as err:
+            capacity_numeric(h, cfg)
+        res = err.value.best_result
+    assert res.converged is ref_converged
+    assert abs(res.value - ref_value) <= 1e-12
+
+
+def test_batched_exit_at_max_iters_matches_reference():
+    # A restart whose gradient reaches tolerance on its last allowed step is
+    # not converged: the tolerance test runs only at the start of an iteration.
+    h = random_hermitian(3, np.random.default_rng(12), hs_normalized=True)
+    cfg = SolverConfig(restarts=1, seed=4)
+    psi0 = random_pure_state(3, np.random.default_rng(cfg.seed))
+    _, conv, steps = _ref_ascend_pure(validate_hermitian(h), psi0, cfg)
+    assert conv and steps > 1
+    with pytest.raises(NoConvergence):
+        capacity_numeric(h, replace(cfg, max_iters=steps))
+    assert capacity_numeric(h, replace(cfg, max_iters=steps + 1)).converged
 
 
 def test_solver_config_validation():

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import cohgen.capacity
-from cohgen import optimal_hamiltonian, rel_entropy_coherence
+import cohgen.cli
+from cohgen import (
+    ConvergenceFailure,
+    NoConvergence,
+    SolverConfig,
+    capacity_numeric,
+    optimal_hamiltonian,
+    rel_entropy_coherence,
+)
 from cohgen.cli import main
 from cohgen.serialization import dumps_17, matrix_to_obj, vector_to_obj
 from refvals import BOUND, F_MAX, GAMMA_STAR, X_STAR
@@ -88,6 +96,22 @@ def test_capacity_starved_solver_exits_3_but_writes_report(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["numeric"]["converged"] is False
     assert rep["numeric"]["value"] >= 0.0
+
+
+def test_no_convergence_is_a_convergence_failure(monkeypatch, capsys):
+    # `capacity` itself still exits 3 with its report written (see the
+    # starved-solver test above); any other verb falls to main's handler.
+    assert issubclass(NoConvergence, ConvergenceFailure)
+    with pytest.raises(ConvergenceFailure) as err:
+        capacity_numeric(optimal_hamiltonian(2), SolverConfig(restarts=1, max_iters=1))
+    assert err.value.best_result.converged is False
+
+    def unconverged(level, seed):
+        raise NoConvergence("no restart converged")
+
+    monkeypatch.setattr(cohgen.cli, "run_checks", unconverged)
+    assert main(["verify", "fast"]) == 3
+    assert "no restart converged" in capsys.readouterr().err
 
 
 def test_capacity_flag_overrides_config(tmp_path):

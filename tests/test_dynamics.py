@@ -4,6 +4,9 @@ import pytest
 import cohgen.dynamics
 from cohgen import (
     DimensionMismatch,
+    NotHermitian,
+    NotPSD,
+    NotUnitTrace,
     SingularState,
     coherence_derivative,
     entropy_derivative_check,
@@ -195,6 +198,42 @@ def test_fd_step_validation():
         fd_derivative(rho, np.eye(2), 0.0)
     with pytest.raises(ValueError):
         fd_derivative(rho, np.eye(2), 0.5)
+
+
+def test_fd_oracles_diagonalize_and_validate_once(monkeypatch):
+    calls = {"eig": 0, "density": 0}
+    eig, density = cohgen.dynamics.eig_hermitian, cohgen.dynamics.validate_density
+
+    def counted_eig(h):
+        calls["eig"] += 1
+        return eig(h)
+
+    def counted_density(m):
+        calls["density"] += 1
+        return density(m)
+
+    monkeypatch.setattr(cohgen.dynamics, "eig_hermitian", counted_eig)
+    monkeypatch.setattr(cohgen.dynamics, "validate_density", counted_density)
+    rng = np.random.default_rng(10)
+    rho, h = random_density(3, rng, mix=0.2), random_hermitian(3, rng)
+    fd_derivative(rho, h, 1e-3, richardson=True)
+    assert calls == {"eig": 1, "density": 1}
+    entropy_derivative_check(rho, h, 1e-3)
+    assert calls == {"eig": 2, "density": 2}
+
+
+def test_fd_oracles_reject_invalid_states():
+    bad = [
+        (np.array([[0.5, 0.1], [0.3, 0.5]]), NotHermitian),
+        (np.diag([0.5, 0.6]), NotUnitTrace),
+        (np.diag([1.2, -0.2]), NotPSD),
+    ]
+    for rho, error in bad:
+        with pytest.raises(error):
+            fd_derivative(rho, SY, 1e-3)
+    # a full-rank but non-Hermitian state reaches the density validation
+    with pytest.raises(NotHermitian):
+        entropy_derivative_check(np.array([[0.5, 0.1], [0.3, 0.5]]), SY, 1e-3)
 
 
 def test_fd_richardson_tightens():

@@ -1,0 +1,52 @@
+"""Property tests of the numeric capacity solver over generated Hermitian H."""
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cohgen import (
+    NoConvergence,
+    SolverConfig,
+    capacity_numeric,
+    coherence_derivative,
+    hs_norm,
+    max_surprisal_variance,
+)
+
+CFG = SolverConfig(restarts=4, seed=0)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    d = draw(st.integers(2, 6))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    parts = draw(st.lists(entries, min_size=2 * d * d, max_size=2 * d * d))
+    g = np.reshape(parts[: d * d], (d, d)) + 1j * np.reshape(parts[d * d:], (d, d))
+    return (g + g.conj().T) / 2
+
+
+def _solve(h, cfg):
+    try:
+        return capacity_numeric(h, cfg)
+    except NoConvergence as err:  # the best-effort result obeys the same laws
+        return err.best_result
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(h=hermitian_matrices(), k=st.integers(-2, 2))
+def test_capacity_numeric_properties(h, k):
+    res = _solve(h, CFG)
+    d = h.shape[0]
+    # Hölder: the rate is Tr(H M) with ‖M‖₂ ≤ sqrt(2 f_max(d))
+    holder = hs_norm(h) * max_surprisal_variance(d).capacity_bound
+    assert 0.0 <= res.value <= holder + 1e-9
+    assert abs(coherence_derivative(h, res.argmax_state).analytic - res.value) <= 1e-9
+    # Capacity is homogeneous of degree one in H.  Scaling H by c = 2**k
+    # together with step_init by 1/c and grad_tol by c makes every candidate
+    # the same point, so the solver must return exactly c times the value.
+    # (With the step left alone, H and cH can end in different local maxima.)
+    c = 2.0 ** k
+    scaled_cfg = SolverConfig(restarts=CFG.restarts, seed=CFG.seed,
+                              step_init=CFG.step_init / c, grad_tol=CFG.grad_tol * c)
+    scaled = _solve(c * h, scaled_cfg)
+    assert abs(scaled.value - c * res.value) <= 1e-9 * max(1.0, c * res.value)
