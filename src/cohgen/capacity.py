@@ -40,7 +40,6 @@ _MAX_BACKTRACKS = 60
 class SolverMethod(enum.Enum):
     QUBIT_ANALYTIC = "QubitAnalytic"
     PURE_STATE_ASCENT = "PureStateAscent"
-    MIXED_STATE_ASCENT = "MixedStateAscent"
 
 
 @dataclass(frozen=True)
@@ -53,11 +52,8 @@ class SolverConfig:
     at most ``max_iters`` accepted steps per restart, each pass a few numpy
     calls on a (restarts, d) array.  A restart stops when its projected
     gradient norm reaches ``grad_tol``; ``step_init`` is its first trial step.
-
-    ``mixed`` switches the search from pure states to a full density-matrix
-    parameterization (ρ = AA†/Tr[AA†]).  It exists to probe numerically
-    whether mixed states can beat pure ones — no run has ever shown that —
-    and is off by default.
+    The search runs over pure states only; the test suite keeps a
+    density-matrix ascent as an oracle that never beats it.
     """
 
     restarts: int = 32
@@ -65,7 +61,6 @@ class SolverConfig:
     grad_tol: float = 1e-9
     step_init: float = 0.1
     seed: int = 0
-    mixed: bool = False
 
 
 def _validate_config(cfg: SolverConfig):
@@ -380,34 +375,12 @@ def _pure_value_and_grad(h: np.ndarray, psi: np.ndarray):
 
 
 def _rho_from_factor(a: np.ndarray) -> np.ndarray:
+    """Symmetrized AA†, used with A = ψ as a column for the argmax state.
+
+    ``np.outer(ψ, ψ̄)`` rounds differently, so it would change ``--out`` reports.
+    """
     rho = a @ a.conj().swapaxes(-1, -2)
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
-
-
-def _floor_factor(a: np.ndarray) -> np.ndarray:
-    """Keep every diagonal of AA†/Tr[AA†] above the floor; unit Frobenius norm per factor."""
-    a = a / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
-    small = (np.abs(a) ** 2).sum(axis=-1) < _FLOOR
-    if small.any():
-        r, k = np.nonzero(small)
-        akk = a[r, k, k]
-        mag = np.abs(akk)
-        a[r, k, k] = akk + 1e-6 * np.where(mag > 0, akk / np.where(mag > 0, mag, 1.0), 1.0)
-        hit = small.any(axis=-1)
-        a[hit] /= np.linalg.norm(a[hit], axis=(-2, -1), keepdims=True)
-    return a
-
-
-def _mixed_value_and_grad(h: np.ndarray, a: np.ndarray):
-    """Rate of each ρ = AA† (unit-norm factors) under h and its gradient in A."""
-    rho = _rho_from_factor(a)
-    p = rho.diagonal(axis1=-2, axis2=-1).real
-    logp = np.log2(p)
-    gmat = 1j * (logp[..., :, None] * h - h * logp[..., None, :])  # i [diag(logp), h]
-    value = (gmat * rho.swapaxes(-1, -2)).sum(axis=(-2, -1)).real   # Tr(G ρ)
-    hrho_diag_im = (h @ rho).diagonal(axis1=-2, axis2=-1).imag
-    w = gmat - (2.0 / LN2) * (hrho_diag_im / p)[..., None] * np.eye(len(h))
-    return value, w @ a - value[:, None, None] * a
 
 
 def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, cfg: SolverConfig):
@@ -479,7 +452,7 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, cfg: SolverConfig):
 
 
 def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityResult:
-    """Capacity of a Hamiltonian by gradient ascent over states, any dimension.
+    """Capacity of a Hamiltonian by gradient ascent over pure states, any dimension.
 
     Runs ``cfg.restarts`` ascents from random starting states drawn in turn
     from one ``default_rng(cfg.seed)`` (so results are deterministic for a
@@ -502,18 +475,12 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     if d < 2:
         raise DimensionMismatch(f"dimension must be ≥ 2, got {d}")
     rng = np.random.default_rng(cfg.seed)
-    if cfg.mixed:
-        x0 = np.array([
-            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for _ in range(cfg.restarts)
-        ])
-        value_and_grad, retract = (lambda a: _mixed_value_and_grad(h, a)), _floor_factor
-    else:
-        x0 = np.array([random_pure_state(d, rng) for _ in range(cfg.restarts)])
-        value_and_grad, retract = (lambda psi: _pure_value_and_grad(h, psi)), _floor_renorm
-    x, values, converged = _armijo_ascent(x0, value_and_grad, retract, cfg)
+    x0 = np.array([random_pure_state(d, rng) for _ in range(cfg.restarts)])
+    x, values, converged = _armijo_ascent(
+        x0, lambda psi: _pure_value_and_grad(h, psi), _floor_renorm, cfg
+    )
     best = int(np.argmax(values))  # the first of equal maxima
-    best_rho = _rho_from_factor(x[best] if cfg.mixed else x[best][:, None])
+    best_rho = _rho_from_factor(x[best][:, None])
     best_value = values[best]
     any_converged = bool(converged.any())
     if best_value < 0.0:
@@ -527,7 +494,7 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     result = CapacityResult(
         value=float(best_value) + 0.0,  # squash IEEE -0.0 from stuck ascents
         argmax_state=best_rho,
-        method=SolverMethod.MIXED_STATE_ASCENT if cfg.mixed else SolverMethod.PURE_STATE_ASCENT,
+        method=SolverMethod.PURE_STATE_ASCENT,
         restarts_used=cfg.restarts,
         converged=any_converged,
         min_diag=float(best_rho.diagonal().real.min()),

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 input/parse error,
 3 solver non-convergence.
 """
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -29,7 +30,7 @@ from .capacity import (
 from .coherence import surprisal_variance
 from .dynamics import trajectory
 from .errors import ConvergenceFailure, NoConvergence, ParseError
-from .linalg import hs_norm, validate_density, validate_hermitian, validate_pure_state
+from .linalg import hs_norm, validate_hermitian, validate_pure_state
 from .serialization import (
     dumps_17,
     format_float,
@@ -70,8 +71,6 @@ def _solver_config(args) -> SolverConfig:
         value = getattr(args, name, None)
         if value is not None:
             fields[name] = value
-    if getattr(args, "mixed", False):
-        fields["mixed"] = True
     return SolverConfig(**fields)
 
 
@@ -89,17 +88,6 @@ def _parse_grid(text: str) -> np.ndarray:
     if steps > 1 and stop <= start:
         raise ParseError(f"grid stop must exceed start, got {text!r}")
     return np.linspace(start, stop, steps)
-
-
-def _config_obj(cfg: SolverConfig) -> dict:
-    return {
-        "restarts": cfg.restarts,
-        "max_iters": cfg.max_iters,
-        "grad_tol": cfg.grad_tol,
-        "step_init": cfg.step_init,
-        "seed": cfg.seed,
-        "mixed": cfg.mixed,
-    }
 
 
 def _result_obj(res) -> dict:
@@ -121,7 +109,7 @@ def cmd_capacity(args) -> int:
         "command": "capacity",
         "dim": dim,
         "hamiltonian_hs_norm": hs_norm(h),
-        "config": _config_obj(cfg),
+        "config": dataclasses.asdict(cfg),
     }
     exit_code = EXIT_OK
     try:
@@ -171,13 +159,10 @@ def cmd_evolve(args) -> int:
     kind, state = parse_state_text(_read_text(args.state))
     if kind == "pure":
         psi = validate_pure_state(state)
-        rho = np.outer(psi, psi.conj())
-    else:
-        rho = state
-    rho = validate_density(rho)
+        state = np.outer(psi, psi.conj())
     ham = validate_hermitian(parse_matrix_text(_read_text(args.hamiltonian)))
     grid = _parse_grid(args.grid)
-    traj = trajectory(rho, ham, grid)
+    traj = trajectory(state, ham, grid)  # validates the density matrix
     peak = int(np.argmax(traj.coherence))
     print(f"max coherence {traj.coherence[peak]:.12g} bits "
           f"at t = {traj.times[peak]:.12g} ({len(traj)} samples)")
@@ -260,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="solver seed")
     p.add_argument("--restarts", type=int, help="gradient-ascent restarts")
     p.add_argument("--config", help="key=value solver config file")
-    p.add_argument("--mixed", action="store_true",
-                   help="search mixed states (exploratory; pure is the default)")
     p.set_defaults(handler=cmd_capacity)
 
     p = sub.add_parser("optimal", help="best state/Hamiltonian pair for a dimension")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .coherence import _entropy_bits, rel_entropy_coherence, von_neumann_entropy
 from .errors import DimensionMismatch, SingularState
-from .linalg import eig_hermitian, validate_density
+from .linalg import _as_square_complex, eig_hermitian, validate_density
 
 # Matrix entries per block of the stacked conjugation in `trajectory`.  A
 # whole 2000-point grid at d = 32 in one block would hold several (2000, 32,
@@ -42,8 +42,9 @@ class EntropyDerivativeReport:
 
 
 def _check_shapes(rho, hamiltonian):
-    rho = np.asarray(rho, dtype=np.complex128)
-    hamiltonian = np.asarray(hamiltonian, dtype=np.complex128)
+    """Square, finite operands of one shape (``DimensionMismatch`` / ``ValueError``)."""
+    rho = _as_square_complex(rho)
+    hamiltonian = _as_square_complex(hamiltonian)
     if rho.shape != hamiltonian.shape:
         raise DimensionMismatch(f"shape mismatch {rho.shape} vs {hamiltonian.shape}")
     return rho, hamiltonian
@@ -77,8 +78,10 @@ def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
     ``_BLOCK_ENTRIES`` matrix entries (about 0.5 MB of complex128 per
     temporary), so the working memory beyond the returned states does not
     grow with the grid.  ``states`` are read-only views into the block stacks.
+    ρ is validated once at entry, like in :func:`fd_derivative`.
     """
     rho, hamiltonian = _check_shapes(rho, hamiltonian)
+    rho = validate_density(rho)
     t_grid = np.asarray(t_grid, dtype=np.float64).reshape(-1)
     if t_grid.size == 0:
         raise ValueError("time grid is empty")

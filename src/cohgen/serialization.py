@@ -171,11 +171,7 @@ _CONFIG_FIELDS = {
     "grad_tol": float,
     "step_init": float,
     "seed": int,
-    "mixed": bool,
 }
-
-_TRUTHY = {"1": True, "true": True, "yes": True, "on": True,
-           "0": False, "false": False, "no": False, "off": False}
 
 
 def parse_config_text(text: str) -> dict:
@@ -197,15 +193,10 @@ def parse_config_text(text: str) -> dict:
         if key not in _CONFIG_FIELDS:
             raise ParseError(f"config line {lineno}: unknown key {key!r}")
         typ = _CONFIG_FIELDS[key]
-        if typ is bool:
-            if value.lower() not in _TRUTHY:
-                raise ParseError(f"config line {lineno}: cannot parse {value!r} as a flag")
-            out[key] = _TRUTHY[value.lower()]
-        else:
-            try:
-                out[key] = typ(value)
-            except ValueError as exc:
-                raise ParseError(
-                    f"config line {lineno}: cannot parse {value!r} as {typ.__name__}"
-                ) from exc
+        try:
+            out[key] = typ(value)
+        except ValueError as exc:
+            raise ParseError(
+                f"config line {lineno}: cannot parse {value!r} as {typ.__name__}"
+            ) from exc
     return out

@@ -32,6 +32,7 @@ from cohgen import (
     validate_hermitian,
     validate_prob_vector,
 )
+from cohgen.capacity import LN2, _FLOOR, _armijo_ascent, _rho_from_factor
 from refvals import (
     BEST_P_400,
     BOUND,
@@ -269,17 +270,6 @@ def test_numeric_deterministic_by_seed():
     assert abs(c.value - a.value) < 1e-8  # different seed, same optimum
 
 
-def test_numeric_mixed_search_never_beats_pure():
-    rng = np.random.default_rng(3)
-    h = random_hermitian(2, rng)
-    ana = capacity_qubit(h)
-    mixed = capacity_numeric(h, SolverConfig(restarts=8, seed=5, mixed=True))
-    assert mixed.method is SolverMethod.MIXED_STATE_ASCENT
-    assert mixed.converged
-    assert mixed.value <= ana.value + 1e-6
-    assert mixed.value >= ana.value - 1e-5  # and it does find the optimum
-
-
 def test_numeric_starved_solver_reports_payload():
     h = random_hermitian(2, np.random.default_rng(3))
     with pytest.raises(NoConvergence) as err:
@@ -370,6 +360,67 @@ def _ref_capacity(hamiltonian, cfg):
         if value > best_value:
             best_value = value
     return max(best_value, 0.0) + 0.0, any_converged
+
+
+# Mixed-state oracle: the rate is not convex in ρ, so "pure states suffice"
+# is checked against a second search over density matrices ρ = AA† with
+# unit-Frobenius factors A, driven through the solver's own `_armijo_ascent`.
+
+def _floor_factor(a: np.ndarray) -> np.ndarray:
+    """Keep every diagonal of AA†/Tr[AA†] above the floor; unit Frobenius norm per factor."""
+    a = a / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
+    small = (np.abs(a) ** 2).sum(axis=-1) < _FLOOR
+    if small.any():
+        r, k = np.nonzero(small)
+        akk = a[r, k, k]
+        mag = np.abs(akk)
+        a[r, k, k] = akk + 1e-6 * np.where(mag > 0, akk / np.where(mag > 0, mag, 1.0), 1.0)
+        hit = small.any(axis=-1)
+        a[hit] /= np.linalg.norm(a[hit], axis=(-2, -1), keepdims=True)
+    return a
+
+
+def _mixed_value_and_grad(h: np.ndarray, a: np.ndarray):
+    """Rate of each ρ = AA† (unit-norm factors) under h and its gradient in A."""
+    rho = _rho_from_factor(a)
+    p = rho.diagonal(axis1=-2, axis2=-1).real
+    logp = np.log2(p)
+    gmat = 1j * (logp[..., :, None] * h - h * logp[..., None, :])  # i [diag(logp), h]
+    value = (gmat * rho.swapaxes(-1, -2)).sum(axis=(-2, -1)).real   # Tr(G ρ)
+    hrho_diag_im = (h @ rho).diagonal(axis1=-2, axis2=-1).imag
+    w = gmat - (2.0 / LN2) * (hrho_diag_im / p)[..., None] * np.eye(len(h))
+    return value, w @ a - value[:, None, None] * a
+
+
+def _mixed_capacity(hamiltonian, cfg):
+    """(value, converged) of the best of cfg.restarts mixed-state ascents."""
+    h = validate_hermitian(hamiltonian)
+    d = h.shape[0]
+    rng = np.random.default_rng(cfg.seed)
+    a0 = np.array([
+        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for _ in range(cfg.restarts)
+    ])
+    _, values, converged = _armijo_ascent(
+        a0, lambda a: _mixed_value_and_grad(h, a), _floor_factor, cfg
+    )
+    return float(values.max()), bool(converged.any())
+
+
+def test_numeric_mixed_search_never_beats_pure():
+    rng = np.random.default_rng(3)
+    h = random_hermitian(2, rng)
+    ana = capacity_qubit(h)
+    value, converged = _mixed_capacity(h, SolverConfig(restarts=8, seed=5))
+    assert converged
+    assert value <= ana.value + 1e-6
+    assert value >= ana.value - 1e-5  # and it does find the optimum
+    for d in (3, 4):
+        for k in range(3):
+            h = random_hermitian(d, np.random.default_rng(10 * d + k))
+            cfg = SolverConfig(restarts=8, seed=k)
+            value, _ = _mixed_capacity(h, cfg)
+            assert value <= capacity_numeric(h, cfg).value + 1e-6
 
 
 def _disguised_matched(d, rng):

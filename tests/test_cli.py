@@ -133,6 +133,14 @@ def test_capacity_bad_config(tmp_path):
     assert main(["capacity", hfile, "--config", str(cfg)]) == 2
 
 
+def test_capacity_rejects_removed_mixed_flag(tmp_path, capsys):
+    hfile = _write_matrix(tmp_path / "h.json", optimal_hamiltonian(2))
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", hfile, "--mixed"])
+    assert exc.value.code == 2
+    assert "--mixed" in capsys.readouterr().err
+
+
 def test_optimal_d2(tmp_path, capsys):
     out = tmp_path / "opt.json"
     assert main(["optimal", "--dim", "2", "--out", str(out)]) == 0

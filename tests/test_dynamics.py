@@ -220,6 +220,8 @@ def test_fd_oracles_diagonalize_and_validate_once(monkeypatch):
     assert calls == {"eig": 1, "density": 1}
     entropy_derivative_check(rho, h, 1e-3)
     assert calls == {"eig": 2, "density": 2}
+    trajectory(rho, h, np.linspace(0.0, 1.0, 50))
+    assert calls == {"eig": 3, "density": 3}
 
 
 def test_fd_oracles_reject_invalid_states():
@@ -231,9 +233,35 @@ def test_fd_oracles_reject_invalid_states():
     for rho, error in bad:
         with pytest.raises(error):
             fd_derivative(rho, SY, 1e-3)
+        with pytest.raises(error):
+            trajectory(rho, SY, np.array([0.0, 1.0]))
     # a full-rank but non-Hermitian state reaches the density validation
     with pytest.raises(NotHermitian):
         entropy_derivative_check(np.array([[0.5, 0.1], [0.3, 0.5]]), SY, 1e-3)
+
+
+_ENTRY_POINTS = {
+    "evolve": lambda rho, h: evolve(rho, h, 0.5),
+    "trajectory": lambda rho, h: trajectory(rho, h, np.array([0.0, 1.0])),
+    "fd_derivative": lambda rho, h: fd_derivative(rho, h, 1e-3),
+    "entropy_derivative_check": lambda rho, h: entropy_derivative_check(rho, h, 1e-3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "rho, h, error",
+    [
+        (np.full((2, 3), 1 / 3), np.zeros((2, 3)), DimensionMismatch),
+        (np.array([[0.5, np.nan], [np.nan, 0.5]]), np.eye(2), ValueError),
+    ],
+    ids=["non-square", "nan-state"],
+)
+def test_dynamics_entry_points_raise_typed_errors(entry, rho, h, error):
+    # numpy's LinAlgError is a ValueError too, so pin the exact type
+    with pytest.raises(ValueError) as exc:
+        _ENTRY_POINTS[entry](rho, h)
+    assert type(exc.value) is error
 
 
 def test_fd_richardson_tightens():

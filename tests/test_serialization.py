@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from cohgen import ParseError, trajectory
+from cohgen import ParseError, SolverConfig, serialization, trajectory
 from cohgen.serialization import (
     TRAJECTORY_HEADER,
     dumps_17,
@@ -107,7 +108,6 @@ restarts = 8
 max_iters=500
 grad_tol = 1e-8
 seed = 3
-mixed = true
 """
     cfg = parse_config_text(text)
     assert cfg == {
@@ -115,7 +115,6 @@ mixed = true
         "max_iters": 500,
         "grad_tol": 1e-8,
         "seed": 3,
-        "mixed": True,
     }
 
 
@@ -126,5 +125,11 @@ def test_config_parse_errors_carry_line_numbers():
         parse_config_text("restarts = 3\nwhat_is_this = 1")
     with pytest.raises(ParseError):
         parse_config_text("just some words")
-    with pytest.raises(ParseError):
-        parse_config_text("mixed = maybe")
+    # the removed mixed-state switch is an unknown key, not a silent no-op
+    with pytest.raises(ParseError, match="line 2: unknown key 'mixed'"):
+        parse_config_text("seed = 1\nmixed = true")
+
+
+def test_config_keys_match_solver_config_fields():
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert set(serialization._CONFIG_FIELDS) == fields
