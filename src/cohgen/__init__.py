@@ -30,7 +30,6 @@ from .coherence import (
     rel_entropy_coherence,
     surprisal_variance,
     surprisal_variance_pairform,
-    validate_prob_vector,
     von_neumann_entropy,
 )
 from .dynamics import (
@@ -67,7 +66,6 @@ from .sampling import (
     random_density,
     random_hermitian,
     random_pure_state,
-    random_unitary,
 )
 from .verify import CheckResult, run_checks
 
@@ -114,7 +112,6 @@ __all__ = [
     "random_density",
     "random_hermitian",
     "random_pure_state",
-    "random_unitary",
     "rel_entropy_coherence",
     "run_checks",
     "simplex_grid_oracle",
@@ -124,7 +121,6 @@ __all__ = [
     "unitary_exp",
     "validate_density",
     "validate_hermitian",
-    "validate_prob_vector",
     "validate_pure_state",
     "von_neumann_entropy",
 ]

@@ -15,7 +15,6 @@ test suite to confirm the family is not beaten anywhere on the simplex.
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -113,32 +112,10 @@ class GridSearchResult:
 
 
 # ---------------------------------------------------------------------------
-# 1-D maximizations
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fun, lo: float, hi: float, tol: float = 1e-10):
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    x = (a + b) / 2
-    return x, fun(x)
-
+# The two-level family and its peaks
 
 def _bisect_root(phi, lo: float, hi: float) -> float:
-    """Bisection for a strictly monotone phi with a sign change on [lo, hi]."""
+    """Bisection for a phi with a single sign change on [lo, hi]."""
     flo = phi(lo)
     if flo == 0.0:
         return lo
@@ -161,12 +138,6 @@ def _qubit_g(x: float) -> float:
     return math.sqrt(x * (1.0 - x)) * math.log2((1.0 - x) / x)
 
 
-@lru_cache(maxsize=1)
-def _qubit_xstar() -> float:
-    x, _ = _branch_peak(2, 1e-12, 0.5)
-    return x
-
-
 def _family_log_ratio(gamma: float, d: int) -> float:
     return math.log2((1.0 - gamma) / ((d - 1) * gamma))
 
@@ -177,37 +148,38 @@ def _family_f(gamma: float, d: int) -> float:
 
 
 def _branch_peak(d: int, lo: float, hi: float):
-    """Locate the single interior peak of the family f on (lo, hi).
+    """The peak (γ, f(γ)) of the family f on the branch (lo, hi), to machine precision.
 
-    Golden section brackets the peak to ~1e-8 (the best a derivative-free
-    search can resolve near a flat maximum in doubles); the estimate is then
-    polished on the stationarity condition (1-2γ)·log₂((1-γ)/((d-1)γ)) =
-    2/ln2, whose left side is strictly monotone through each peak, giving γ
-    to machine precision.
+    The peak is the root of φ(γ) = (1-2γ)·L - 2/ln2, L = log₂((1-γ)/((d-1)γ)),
+    found by bisection over the whole branch.  With f = γ(1-γ)L² and
+    L' = -1/(ln2·γ(1-γ)), f' = L·φ and φ' = -2L - (1-2γ)/(ln2·γ(1-γ)).
+
+    - Lower branch (0, 1/d): L > 0 and 1-2γ > 0, so φ' < 0; φ falls from
+      +∞ to -2/ln2 at γ = 1/d, so it has exactly one root.
+    - Upper branch, (1/d, 1/2]: L < 0 and 1-2γ ≥ 0, so φ ≤ -2/ln2 < 0 and
+      there is no root.
+    - Upper branch, [1/2, 1): -2L > 0 and -(1-2γ) ≥ 0, so φ' > 0; φ rises
+      from -2/ln2 at γ = 1/2 to +∞ as γ → 1, so it has exactly one root.
+
+    L keeps one sign on each branch, so f' = L·φ changes sign exactly once,
+    at the root: f rises to it and falls after it, and the root is the peak.
     """
-    g_hat, f_hat = _golden_max(lambda g: _family_f(g, d), lo, hi)
 
     def phi(g):
         return (1.0 - 2.0 * g) * _family_log_ratio(g, d) - 2.0 / LN2
 
-    blo = max(lo, g_hat - 1e-6)
-    bhi = min(hi, g_hat + 1e-6)
-    if phi(blo) * phi(bhi) > 0:  # polish bracket missed the root; use the branch
-        blo, bhi = lo, hi
-    if phi(blo) * phi(bhi) <= 0:
-        g_hat = _bisect_root(phi, blo, bhi)
-        f_hat = _family_f(g_hat, d)
-    return g_hat, f_hat
+    gamma = _bisect_root(phi, lo, hi)
+    return gamma, _family_f(gamma, d)
 
 
 def max_surprisal_variance(d: int) -> GammaResult:
     """Maximize the surprisal variance over the two-level family for dimension d.
 
     f(γ) vanishes at γ ∈ {0, 1/d, 1} and has one interior peak on each side
-    of the uniform point γ = 1/d, so each side is searched separately and the
-    larger peak wins.  For d = 2 the two peaks are mirror images with
-    identical height; the smaller γ is returned.  γ is resolved to well
-    below 1e-10 (see _branch_peak).
+    of the uniform point γ = 1/d, so each side is solved separately, as the
+    root of its stationarity condition (see _branch_peak), and the larger
+    peak wins.  For d = 2 the two peaks are mirror images with identical
+    height; the smaller γ is returned.
     """
     if d < 2:
         raise ValueError(f"dimension must be ≥ 2, got {d}")
@@ -301,8 +273,10 @@ def capacity_qubit(hamiltonian) -> CapacityResult:
     """Capacity of a 2×2 Hamiltonian from the closed form 2|H₁₀| g(ρ₀₀).
 
     The rate for a pure qubit state with populations (x, 1-x) and optimal
-    off-diagonal phase is 2|H₁₀| sqrt(x(1-x)) log₂((1-x)/x); the population
-    x* maximizing it is found once by golden section (cached).  The optimal
+    off-diagonal phase is 2|H₁₀| g(x), g(x) = sqrt(x(1-x)) log₂((1-x)/x).
+    For x < 1/2, g(x)² is the d = 2 family's surprisal variance f(x), so the
+    population x* maximizing the rate is γ* of ``max_surprisal_variance(2)``,
+    whose tie rule returns the peak below 1/2.  The optimal
     phase of ρ₀₁ is arg(H₀₁) - π/2.  When H₁₀ = 0 every state has rate 0 and
     the incoherent representative diag(1, 0) is returned.
 
@@ -324,7 +298,7 @@ def capacity_qubit(hamiltonian) -> CapacityResult:
             converged=True,
             min_diag=0.0,
         )
-    x = _qubit_xstar()
+    x = max_surprisal_variance(2).gamma
     value = 2.0 * coupling * _qubit_g(x)
     alpha = math.atan2(h[0, 1].imag, h[0, 1].real) - math.pi / 2.0
     off = math.sqrt(x * (1.0 - x)) * np.exp(1j * alpha)

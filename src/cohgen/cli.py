@@ -216,16 +216,7 @@ def cmd_verify(args) -> int:
             "level": args.level,
             "seed": args.seed,
             "passed": all_passed,
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "tolerance": r.tolerance,
-                    "residual": r.residual,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
+            "checks": [dataclasses.asdict(r) for r in results],
         }
         _write_text(args.out, dumps_17(payload))
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED

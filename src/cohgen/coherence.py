@@ -41,17 +41,6 @@ class DerivativeReport:
     boundary: bool
 
 
-def validate_prob_vector(p) -> np.ndarray:
-    """Check entries lie in [0, 1] and sum to 1 within 1e-12."""
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if p.min() < -1e-12 or p.max() > 1 + 1e-12:
-        raise ValueError(f"entries outside [0, 1]: min {p.min():.3e}, max {p.max():.3e}")
-    s = p.sum()
-    if abs(s - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {s:.17g}, not 1")
-    return p
-
-
 def dephase(rho: np.ndarray) -> np.ndarray:
     """Complete dephasing: keep the diagonal, zero all off-diagonal entries."""
     rho = np.asarray(rho)

@@ -122,7 +122,13 @@ def eig_hermitian(h):
 
 
 def unitary_exp(h, t: float) -> np.ndarray:
-    """Unitary ``exp(-i t h)`` of a Hermitian generator via eigendecomposition."""
+    """Unitary ``exp(-i t h)`` of a Hermitian generator via eigendecomposition.
+
+    No cohgen module calls it (``dynamics`` rotates in the eigenbasis
+    itself), but it stays public: it is the one-call form of the evolution
+    operator, and the benchmark's per-layer tracer (``perfbench/tracing.py``)
+    wraps it by name, so removing it would break ``--trace 1`` runs.
+    """
     lam, vec = eig_hermitian(h)
     return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
 

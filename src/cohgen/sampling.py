@@ -25,14 +25,6 @@ def random_hermitian(d: int, rng, hs_normalized: bool = False) -> np.ndarray:
     return h
 
 
-def random_unitary(d: int, rng) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix with phase correction."""
-    q, r = np.linalg.qr(_ginibre(d, d, rng))
-    ph = r.diagonal().copy()
-    ph /= np.abs(ph)
-    return q * ph
-
-
 def random_density(d: int, rng, rank: int | None = None, mix: float = 0.0) -> np.ndarray:
     """Random density matrix G G†/Tr with a d×rank Ginibre factor.
 

@@ -37,6 +37,9 @@ from .sampling import random_density, random_hermitian
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict; the field order is the key order of a check in
+    the ``cohgen verify --out`` report, which is written with ``asdict``."""
+
     name: str
     passed: bool
     tolerance: float

@@ -30,9 +30,15 @@ from cohgen import (
     surprisal_variance,
     validate_density,
     validate_hermitian,
-    validate_prob_vector,
 )
-from cohgen.capacity import LN2, _FLOOR, _armijo_ascent, _rho_from_factor
+from cohgen.capacity import (
+    LN2,
+    _FLOOR,
+    _armijo_ascent,
+    _branch_peak,
+    _family_log_ratio,
+    _rho_from_factor,
+)
 from refvals import (
     BEST_P_400,
     BOUND,
@@ -65,7 +71,8 @@ def test_family_distribution_is_valid():
     for d in (2, 4, 6):
         g = max_surprisal_variance(d).gamma
         p = np.concatenate([[g], np.full(d - 1, (1 - g) / (d - 1))])
-        validate_prob_vector(p)
+        assert p.min() > 0.0 and p.max() < 1.0
+        assert abs(p.sum() - 1.0) < 1e-12
 
 
 def test_family_balanced_point_gives_zero():
@@ -87,6 +94,42 @@ def test_family_small_branch_is_strictly_worse_d3():
     f_small = surprisal_variance(np.array([GAMMA_3_SMALL_BRANCH, tail, tail]))
     assert abs(f_small - F_3_SMALL_BRANCH) < 1e-13
     assert f_small < F_MAX[3]
+
+
+def _phi(gamma, d):
+    """Stationarity condition of the family, f' = log₂((1-γ)/((d-1)γ))·φ."""
+    return (1.0 - 2.0 * gamma) * _family_log_ratio(gamma, d) - 2.0 / LN2
+
+
+def test_stationarity_condition_sign_structure():
+    # the three pieces of the proof in _branch_peak's docstring, on a grid
+    floor = -2.0 / LN2
+    for d in (2, 3, 8, 32, 399, 10**5):
+        def phi(g):
+            return (1.0 - 2.0 * g) * np.log2((1.0 - g) / ((d - 1) * g)) + floor
+
+        lower = phi(np.linspace(0.0, 1.0 / d, 20_001)[1:-1])
+        assert np.all(np.diff(lower) < 0), d
+        assert lower[0] > 0 > lower[-1]
+        if d > 2:
+            middle = phi(np.linspace(1.0 / d, 0.5, 20_001)[1:])
+            assert np.all(middle <= floor), d
+        upper = phi(np.linspace(0.5, 1.0, 20_001)[:-1])
+        assert np.all(np.diff(upper) > 0), d
+        assert upper[0] < 0 < upper[-1]
+
+
+def test_branch_peaks_are_roots_of_the_stationarity_condition():
+    # a sign change across a relative step of 1e-9; adjacent doubles are too
+    # close, rounding noise in φ hides the sign change there
+    for d in list(range(2, 400)) + [10**3, 10**4, 10**5]:
+        uniform = 1.0 / d
+        roots = [_branch_peak(d, 1e-12, uniform)[0], _branch_peak(d, uniform, 1.0 - 1e-12)[0]]
+        for g in roots:
+            assert abs(_phi(g, d)) <= 1e-14, (d, g)
+            assert _phi(g * (1 - 1e-9), d) * _phi(g * (1 + 1e-9), d) < 0, (d, g)
+        assert roots[0] < uniform < roots[1]
+        assert max_surprisal_variance(d).gamma in roots
 
 
 # ------------------------------------------------- optimal states/Hamiltonians

@@ -17,7 +17,6 @@ from cohgen import (
     rel_entropy_coherence,
     surprisal_variance,
     surprisal_variance_pairform,
-    validate_prob_vector,
     von_neumann_entropy,
 )
 from refvals import C_COMM_083, F_083, H2_025, H2_083, RATE_083
@@ -176,13 +175,6 @@ def test_surprisal_variance_degenerate_cases():
 
 def test_surprisal_variance_scalar():
     assert abs(surprisal_variance(np.array([0.083, 0.917])) - F_083) < 1e-13
-
-
-def test_validate_prob_vector_errors():
-    with pytest.raises(ValueError):
-        validate_prob_vector(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        validate_prob_vector(np.array([1.2, -0.2]))
 
 
 def test_pairform_examples():

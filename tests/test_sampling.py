@@ -5,7 +5,6 @@ from cohgen import (
     random_density,
     random_hermitian,
     random_pure_state,
-    random_unitary,
     validate_density,
     validate_hermitian,
     validate_pure_state,
@@ -30,14 +29,6 @@ def test_hermitian_samples():
         validate_hermitian(h)
     h1 = random_hermitian(5, rng, hs_normalized=True)
     assert abs(hs_norm(h1) - 1.0) < 1e-13
-
-
-def test_unitary_samples():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        d = int(rng.integers(2, 7))
-        u = random_unitary(d, rng)
-        assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-12
 
 
 def test_density_samples_are_valid():
