@@ -51,6 +51,7 @@ class SolverConfig:
     at most ``max_iters`` accepted steps per restart, each pass a few numpy
     calls on a (restarts, d) array.  A restart stops when its projected
     gradient norm reaches ``grad_tol``; ``step_init`` is its first trial step.
+    Both must be finite and positive.
     The search runs over pure states only; the test suite keeps a
     density-matrix ascent as an oracle that never beats it.
     """
@@ -67,10 +68,10 @@ def _validate_config(cfg: SolverConfig):
         raise ValueError(f"restarts must be ≥ 1, got {cfg.restarts}")
     if cfg.max_iters < 1:
         raise ValueError(f"max_iters must be ≥ 1, got {cfg.max_iters}")
-    if not cfg.grad_tol > 0:
-        raise ValueError(f"grad_tol must be positive, got {cfg.grad_tol}")
-    if not cfg.step_init > 0:
-        raise ValueError(f"step_init must be positive, got {cfg.step_init}")
+    if not 0 < cfg.grad_tol < math.inf:  # also rejects NaN
+        raise ValueError(f"grad_tol must be finite and positive, got {cfg.grad_tol}")
+    if not 0 < cfg.step_init < math.inf:
+        raise ValueError(f"step_init must be finite and positive, got {cfg.step_init}")
 
 
 @dataclass(frozen=True)

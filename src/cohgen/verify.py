@@ -6,8 +6,15 @@ vs exhaustive grid) and reports the worst residual seen.  ``fast`` keeps
 sample counts small enough for interactive use; ``full`` runs the counts the
 acceptance tests use.
 
+A sampled check is declared with :func:`_sampled`: its report name, its
+tolerance, its (fast, full) sample counts per dimension, the dimensions it
+runs and its detail line, on top of a generator ``residuals(d, n, rng)``
+that yields one residual per sample.  The two checks without a sample loop
+(``capacity_bound_equality`` and ``simplex_grid_oracle``) are written out.
+
 Checks draw from per-check seeded generators, so a report is a pure function
-of (level, seed).
+of (level, seed).  The check names, their order and their count are what the
+benchmark in ``perfbench/`` expects of a report.
 """
 from dataclasses import dataclass
 
@@ -51,124 +58,93 @@ def _rng_for(seed: int, index: int):
     return np.random.default_rng([seed, index])
 
 
-def check_dephased_log_pairing(level: str, rng) -> CheckResult:
+def _sampled(name, tolerance, counts, dims, detail, worst=0.0):
+    """Make ``residuals(d, n, rng)`` a check ``fn(level, rng) -> CheckResult``.
+
+    ``counts`` is the (fast, full) number of samples per dimension and
+    ``detail`` is formatted with that ``n``.  The residual is the largest
+    one yielded over ``dims`` in turn, starting from ``worst`` (``-inf``
+    for a signed residual); the check passes when it is at most
+    ``tolerance``.
+    """
+
+    def decorate(residuals):
+        def check(level: str, rng) -> CheckResult:
+            n = counts[level == "full"]
+            largest = worst
+            for d in dims:
+                for residual in residuals(d, n, rng):
+                    largest = max(largest, residual)
+            return CheckResult(name, bool(largest <= tolerance), tolerance,
+                               float(largest), detail.format(n=n))
+
+        check.__name__, check.__doc__ = residuals.__name__, residuals.__doc__
+        return check
+
+    return decorate
+
+
+@_sampled("dephased_log_pairing", 1e-10, (100, 1000), range(2, 7),
+          "{n} pairs per dimension 2..6")
+def check_dephased_log_pairing(d, n, rng):
     """Tr[Δ(A) log₂Δ(B)] = Tr[A log₂Δ(B)]: only the diagonal of A can pair
     with a dephased logarithm."""
-    n = 1000 if level == "full" else 100
-    worst = 0.0
-    for d in range(2, 7):
-        for _ in range(n):
-            a = random_hermitian(d, rng)
-            b = random_density(d, rng, mix=0.05)
-            log_b = np.diag(np.log2(b.diagonal().real))
-            lhs = np.trace(dephase(a) @ log_b).real
-            rhs = np.trace(a @ log_b).real
-            worst = max(worst, abs(lhs - rhs))
-    return CheckResult(
-        name="dephased_log_pairing",
-        passed=worst <= 1e-10,
-        tolerance=1e-10,
-        residual=worst,
-        detail=f"{n} pairs per dimension 2..6",
-    )
+    for _ in range(n):
+        a = random_hermitian(d, rng)
+        b = random_density(d, rng, mix=0.05)
+        log_b = np.diag(np.log2(b.diagonal().real))
+        yield abs(np.trace(dephase(a) @ log_b).real - np.trace(a @ log_b).real)
 
 
-def check_pairform_equivalence(level: str, rng) -> CheckResult:
+@_sampled("surprisal_pairform_equivalence", 1e-10, (100, 1000), range(2, 7),
+          "{n} states per dimension 2..6")
+def check_pairform_equivalence(d, n, rng):
     """Pairwise surprisal form ½ Σ ρii ρjj (log₂ρjj - log₂ρii)² equals the
     plain variance of the surprisal of the diagonal."""
-    n = 1000 if level == "full" else 100
-    worst = 0.0
-    for d in range(2, 7):
-        for _ in range(n):
-            rho = random_density(d, rng, mix=0.02)
-            lhs = surprisal_variance_pairform(rho)
-            rhs = surprisal_variance(rho.diagonal().real)
-            worst = max(worst, abs(lhs - rhs))
-    return CheckResult(
-        name="surprisal_pairform_equivalence",
-        passed=worst <= 1e-10,
-        tolerance=1e-10,
-        residual=worst,
-        detail=f"{n} states per dimension 2..6",
-    )
+    for _ in range(n):
+        rho = random_density(d, rng, mix=0.02)
+        yield abs(surprisal_variance_pairform(rho) - surprisal_variance(rho.diagonal().real))
 
 
-def check_fd_vs_analytic(level: str, rng) -> CheckResult:
+@_sampled("fd_vs_analytic_rate", 1e-6, (20, 200), (2, 3, 4),
+          "{n} full-support pairs per dimension 2..4, step 1e-4")
+def check_fd_vs_analytic(d, n, rng):
     """Closed-form coherence rate against the central finite difference."""
-    n = 200 if level == "full" else 20
-    worst = 0.0
-    for d in (2, 3, 4):
-        for _ in range(n):
-            rho = random_density(d, rng, mix=0.2)
-            h = random_hermitian(d, rng, hs_normalized=True)
-            analytic = coherence_derivative(h, rho).analytic
-            numeric = fd_derivative(rho, h, 1e-4)
-            worst = max(worst, abs(numeric - analytic))
-    return CheckResult(
-        name="fd_vs_analytic_rate",
-        passed=worst <= 1e-6,
-        tolerance=1e-6,
-        residual=worst,
-        detail=f"{n} full-support pairs per dimension 2..4, step 1e-4",
-    )
+    for _ in range(n):
+        rho = random_density(d, rng, mix=0.2)
+        h = random_hermitian(d, rng, hs_normalized=True)
+        analytic = coherence_derivative(h, rho).analytic
+        yield abs(fd_derivative(rho, h, 1e-4) - analytic)
 
 
-def check_entropy_constant(level: str, rng) -> CheckResult:
+@_sampled("entropy_constant_along_orbit", 1e-9, (5, 20), (2, 3, 4),
+          "{n} orbits per dimension 2..4, 100-point grids")
+def check_entropy_constant(d, n, rng):
     """Spectrum (hence entropy) is invariant along every unitary orbit."""
-    n = 20 if level == "full" else 5
-    worst = 0.0
     grid = np.linspace(0.0, 5.0, 100)
-    for d in (2, 3, 4):
-        for _ in range(n):
-            rho = random_density(d, rng, mix=0.1)
-            h = random_hermitian(d, rng)
-            traj = trajectory(rho, h, grid)
-            worst = max(worst, float(np.abs(traj.entropy - traj.entropy[0]).max()))
-    return CheckResult(
-        name="entropy_constant_along_orbit",
-        passed=worst <= 1e-9,
-        tolerance=1e-9,
-        residual=worst,
-        detail=f"{n} orbits per dimension 2..4, 100-point grids",
-    )
+    for _ in range(n):
+        rho = random_density(d, rng, mix=0.1)
+        entropy = trajectory(rho, random_hermitian(d, rng), grid).entropy
+        yield float(np.abs(entropy - entropy[0]).max())
 
 
-def check_entropy_rate_identity(level: str, rng) -> CheckResult:
+@_sampled("entropy_rate_identity", 1e-10, (10, 50), (2, 3, 4),
+          "{n} full-rank states per dimension 2..4")
+def check_entropy_rate_identity(d, n, rng):
     """-Tr[ρ̇ log₂ρ] with ρ̇ = -i[H,ρ] vanishes for full-rank states."""
-    n = 50 if level == "full" else 10
-    worst = 0.0
-    for d in (2, 3, 4):
-        for _ in range(n):
-            rho = random_density(d, rng, mix=0.2)
-            h = random_hermitian(d, rng)
-            report = entropy_derivative_check(rho, h, 1e-3)
-            worst = max(worst, abs(report.rhs))
-    return CheckResult(
-        name="entropy_rate_identity",
-        passed=worst <= 1e-10,
-        tolerance=1e-10,
-        residual=worst,
-        detail=f"{n} full-rank states per dimension 2..4",
-    )
+    for _ in range(n):
+        rho = random_density(d, rng, mix=0.2)
+        yield abs(entropy_derivative_check(rho, random_hermitian(d, rng), 1e-3).rhs)
 
 
-def check_holder_saturation(level: str, rng) -> CheckResult:
+@_sampled("holder_saturation", 1e-9, (20, 200), range(2, 7),
+          "{n} full-support states per dimension 2..6")
+def check_holder_saturation(d, n, rng):
     """The matched Hamiltonian M/‖M‖₂ achieves rate exactly ‖M‖₂."""
-    n = 200 if level == "full" else 20
-    worst = 0.0
-    for d in range(2, 7):
-        for _ in range(n):
-            rho = random_density(d, rng, mix=0.05)
-            h = holder_hamiltonian(rho)
-            rate = coherence_derivative(h, rho).analytic
-            worst = max(worst, abs(rate - hs_norm(coherence_commutator(rho))))
-    return CheckResult(
-        name="holder_saturation",
-        passed=worst <= 1e-9,
-        tolerance=1e-9,
-        residual=worst,
-        detail=f"{n} full-support states per dimension 2..6",
-    )
+    for _ in range(n):
+        rho = random_density(d, rng, mix=0.05)
+        rate = coherence_derivative(holder_hamiltonian(rho), rho).analytic
+        yield abs(rate - hs_norm(coherence_commutator(rho)))
 
 
 def check_bound_equality(level: str, rng) -> CheckResult:
@@ -189,45 +165,29 @@ def check_bound_equality(level: str, rng) -> CheckResult:
     )
 
 
-def check_bound_certificate(level: str, rng) -> CheckResult:
+@_sampled("capacity_bound_certificate", 1e-9, (300, 2000), (2, 3, 4),
+          "{n} random pairs per dimension 2..4; residual = worst rate - bound",
+          worst=-np.inf)
+def check_bound_certificate(d, n, rng):
     """No random (H, ρ) pair with ‖H‖₂ = 1 beats the capacity bound."""
-    n = 2000 if level == "full" else 300
-    worst = -np.inf
-    for d in (2, 3, 4):
-        bound = max_surprisal_variance(d).capacity_bound
-        for _ in range(n):
-            h = random_hermitian(d, rng, hs_normalized=True)
-            rho = random_density(d, rng)
-            rate = coherence_derivative(h, rho).analytic
-            worst = max(worst, rate - bound)
-    return CheckResult(
-        name="capacity_bound_certificate",
-        passed=worst <= 1e-9,
-        tolerance=1e-9,
-        residual=float(worst),
-        detail=f"{n} random pairs per dimension 2..4; residual = worst rate - bound",
-    )
+    bound = max_surprisal_variance(d).capacity_bound
+    for _ in range(n):
+        h = random_hermitian(d, rng, hs_normalized=True)
+        yield coherence_derivative(h, random_density(d, rng)).analytic - bound
 
 
-def check_qubit_cross_method(level: str, rng) -> CheckResult:
+@_sampled("qubit_cross_method", 1e-6, (3, 25), (2,),
+          "{n} random 2x2 Hamiltonians, 8 restarts each")
+def check_qubit_cross_method(d, n, rng):
     """Gradient-ascent capacity agrees with the qubit closed form."""
-    n = 25 if level == "full" else 3
-    worst = 0.0
-    for k in range(n):
-        h = random_hermitian(2, rng)
+    for _ in range(n):
+        h = random_hermitian(d, rng)
         cfg = SolverConfig(restarts=8, seed=int(rng.integers(2**32)))
         try:
             numeric = capacity_numeric(h, cfg).value
         except NoConvergence as err:
             numeric = err.best_result.value
-        worst = max(worst, abs(numeric - capacity_qubit(h).value))
-    return CheckResult(
-        name="qubit_cross_method",
-        passed=worst <= 1e-6,
-        tolerance=1e-6,
-        residual=worst,
-        detail=f"{n} random 2x2 Hamiltonians, 8 restarts each",
-    )
+        yield abs(numeric - capacity_qubit(h).value)
 
 
 def check_grid_oracle(level: str, rng) -> CheckResult:

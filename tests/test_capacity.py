@@ -538,6 +538,11 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0),
         SolverConfig(grad_tol=0.0),
         SolverConfig(step_init=-1.0),
+        # an infinite grad_tol would stop every restart at its random start
+        # and call it converged; an infinite step_init gives NaN values
+        SolverConfig(grad_tol=math.inf),
+        SolverConfig(step_init=math.inf),
+        SolverConfig(grad_tol=math.nan),
     ):
         with pytest.raises(ValueError):
             capacity_numeric(h, bad)

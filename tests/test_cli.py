@@ -133,6 +133,19 @@ def test_capacity_bad_config(tmp_path):
     assert main(["capacity", hfile, "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("setting", ["grad_tol = inf", "step_init = inf"])
+def test_capacity_non_finite_config_is_usage_error(tmp_path, capsys, setting):
+    hfile = _write_matrix(tmp_path / "h.json", optimal_hamiltonian(4))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "r.json"
+    assert main(["capacity", hfile, "--config", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite and positive" in captured.err
+    assert not out.exists()
+
+
 def test_capacity_rejects_removed_mixed_flag(tmp_path, capsys):
     hfile = _write_matrix(tmp_path / "h.json", optimal_hamiltonian(2))
     with pytest.raises(SystemExit) as exc:
@@ -258,8 +271,8 @@ def test_verify_catches_log_base_mutation(tmp_path, monkeypatch, capsys):
     # must fail with the bound inflated by exactly ln 2
     original = cohgen.capacity._family_f
 
-    def natural_log_family(d, gamma):
-        return original(d, gamma) * (math.log(2) ** 2)
+    def natural_log_family(gamma, d):
+        return original(gamma, d) * (math.log(2) ** 2)
 
     monkeypatch.setattr(cohgen.capacity, "_family_f", natural_log_family)
     out = tmp_path / "verify.json"

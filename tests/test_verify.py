@@ -1,6 +1,26 @@
+import importlib.util
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
+import cohgen.verify
 from cohgen import run_checks
+from cohgen.verify import CheckResult, _sampled
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_perfbench(name):
+    # read-only: the benchmark's expectations of a verify report
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_fast_level_all_pass():
@@ -28,16 +48,114 @@ def test_seed_changes_residuals_but_not_verdicts():
     )
 
 
+# tolerance, (fast, full) samples per dimension and dimensions of each
+# sampled check
+SAMPLED = {
+    "dephased_log_pairing": (1e-10, 100, 1000, range(2, 7)),
+    "surprisal_pairform_equivalence": (1e-10, 100, 1000, range(2, 7)),
+    "fd_vs_analytic_rate": (1e-6, 20, 200, (2, 3, 4)),
+    "entropy_constant_along_orbit": (1e-9, 5, 20, (2, 3, 4)),
+    "entropy_rate_identity": (1e-10, 10, 50, (2, 3, 4)),
+    "holder_saturation": (1e-9, 20, 200, range(2, 7)),
+    "capacity_bound_certificate": (1e-9, 300, 2000, (2, 3, 4)),
+    "qubit_cross_method": (1e-6, 3, 25, (2,)),
+}
+
+
 def test_full_level_adds_grid_oracle():
-    fast_names = {r.name for r in run_checks("fast", seed=0)}
+    # full runs the fast checks and then the grid oracle; the names, their
+    # order and their counts are what perfbench/ expects of a report
+    expected = _load_perfbench("tracing").VERIFY_CHECKS
+    counts = _load_perfbench("checks").VERIFY_CHECKS
+    assert expected[-1] == "simplex_grid_oracle"
+    fast = run_checks("fast", seed=0)
     full = run_checks("full", seed=0)
-    full_names = {r.name for r in full}
-    assert "simplex_grid_crosscheck" in full_names - fast_names or (
-        full_names > fast_names
-    )
+    assert [r.name for r in full] == expected
+    assert [r.name for r in fast] == expected[:-1]
+    assert {"fast": len(fast), "full": len(full)} == counts
     assert all(r.passed for r in full)
+    for level, results in (("fast", fast), ("full", full)):
+        by_name = {r.name: r for r in results}
+        for name, (tolerance, fast_n, full_n, _) in SAMPLED.items():
+            r = by_name[name]
+            n = full_n if level == "full" else fast_n
+            assert (r.tolerance, r.detail.split()[0]) == (tolerance, str(n)), name
+        # signed: the best random pair stays below the bound
+        assert by_name["capacity_bound_certificate"].residual < 0
+
+
+def test_sampled_driver():
+    seen = []
+
+    @_sampled("probe", -3.5, (2, 3), (4, 5), "{n} draws per dimension", worst=-math.inf)
+    def probe(d, n, rng):
+        for k in range(n):
+            seen.append((d, k))
+            yield -d - k
+
+    assert probe("full", None) == CheckResult("probe", True, -3.5, -4.0, "3 draws per dimension")
+    assert seen == [(4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (5, 2)]
+    assert probe("fast", None).detail == "2 draws per dimension"
+
+
+def test_sampled_checks_draw_in_their_dimensions(monkeypatch):
+    drawn = []
+    for name in ("random_density", "random_hermitian"):
+        def spy(d, *args, _draw=getattr(cohgen.verify, name), **kwargs):
+            drawn.append(d)
+            return _draw(d, *args, **kwargs)
+        monkeypatch.setattr(cohgen.verify, name, spy)
+    for index, (_, check) in enumerate(cohgen.verify._CHECKS):
+        drawn.clear()
+        r = check("fast", np.random.default_rng(index))
+        if r.name in SAMPLED:
+            assert sorted(set(drawn)) == list(SAMPLED[r.name][3]), r.name
 
 
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         run_checks("extreme", seed=0)
+
+
+def _scale(factor):
+    return lambda f: lambda *args: factor * f(*args)
+
+
+# Each mutant must fail exactly the named checks.  dephased_log_pairing has
+# none: both of its sides reduce to sum_i A_ii log2 B_ii, so it reads 0.0.
+MUTANTS = {
+    "pairform_missing_half": ("verify", "surprisal_variance_pairform", _scale(2.0),
+                              {"surprisal_pairform_equivalence"}),
+    "qubit_g_off_by_1pct": ("capacity", "_qubit_g", _scale(1.01),
+                            {"qubit_cross_method"}),
+    "family_f_halved": ("capacity", "_family_f", _scale(0.5),
+                        {"capacity_bound_certificate", "capacity_bound_equality"}),
+    "commutator_sign_flipped": ("coherence", "coherence_commutator", _scale(-1.0),
+                                {"fd_vs_analytic_rate", "holder_saturation",
+                                 "capacity_bound_equality"}),
+    "hs_norm_off_by_1e-3": ("verify", "hs_norm", _scale(1.001), {"holder_saturation"}),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_named_mutant_fails_its_checks(mutant, monkeypatch):
+    module, attr, mutate, expected = MUTANTS[mutant]
+    target = importlib.import_module(f"cohgen.{module}")
+    monkeypatch.setattr(target, attr, mutate(getattr(target, attr)))
+    assert {r.name for r in run_checks("fast", 0) if not r.passed} == expected
+
+
+def test_report_does_not_depend_on_asserts(tmp_path):
+    # python -O strips assert statements; the report must not change
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"verify{len(flags)}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "cohgen.cli", "verify", "fast", "--seed", "0",
+             "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((proc.stdout, out.read_bytes()))
+    assert outputs[0] == outputs[1]
