@@ -237,11 +237,12 @@ def holder_hamiltonian(rho) -> np.ndarray:
 
     This is M/‖M‖₂ with M = i[ρ, log₂Δ(ρ)]: the inner product Tr(HM) attains
     Hölder's bound ‖H‖₂‖M‖₂ exactly when H is parallel to M, so the returned
-    H gives coherence rate ‖M‖₂.
+    H gives coherence rate ‖M‖₂.  A stack of states gives the stack of
+    their Hamiltonians; ``ZeroCommutator`` if any state has none.
     """
     m = coherence_commutator(rho)
-    n = hs_norm(m)
-    if n < 1e-14:
+    n = np.asarray(hs_norm(m))[..., None, None]
+    if n.min() < 1e-14:
         raise ZeroCommutator(
             "state commutes with its dephased log (diagonal, or balanced "
             "diagonal like the uniform-superposition state); coherence is "
@@ -489,43 +490,29 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
 def simplex_grid_oracle(d: int, resolution: int) -> GridSearchResult:
     """Exhaustive surprisal-variance maximization over the simplex grid p = k/resolution.
 
-    Enumerates every composition of ``resolution`` into d nonnegative parts
-    (roughly resolution^(d-1)/(d-1)! points — cheap for d = 2, 3; minutes and
-    noticeable memory churn at d = 4 with the coarsest useful grids) and
-    returns the grid maximizer.  Deliberately brute-force: this is the
-    oracle the tests use to cross-examine the two-level-family claim, so it
-    must not share machinery with :func:`max_surprisal_variance`.
+    Enumerates every composition of ``resolution`` into d nonnegative parts,
+    for d = 2 or 3 only (at most 80,601 points at the cap of 400), and
+    returns the grid maximizer, the first of equal maxima.  Deliberately
+    brute-force: this is the oracle the tests use to cross-examine the
+    two-level-family claim, so it must not share machinery with
+    :func:`max_surprisal_variance`.
     """
-    if d not in (2, 3, 4):
-        raise ValueError(f"grid oracle supports d in {{2, 3, 4}}, got {d}")
+    if d not in (2, 3):
+        raise ValueError(f"grid oracle supports d in {{2, 3}}, got {d}")
     if resolution > 400:
         raise ResolutionTooLarge(f"resolution {resolution} exceeds the cap of 400")
     if resolution < 1:
         raise ValueError(f"resolution must be ≥ 1, got {resolution}")
-
-    def batches(batch_size=200_000):
-        batch = []
-        for cuts in combinations(range(resolution + d - 1), d - 1):
-            edges = (-1,) + cuts + (resolution + d - 1,)
-            batch.append([edges[i + 1] - edges[i] - 1 for i in range(d)])
-            if len(batch) == batch_size:
-                yield np.asarray(batch, dtype=np.float64)
-                batch = []
-        if batch:
-            yield np.asarray(batch, dtype=np.float64)
-
-    best_f = -1.0
-    best_p = None
-    for counts in batches():
-        p = counts / resolution
-        s = np.where(p > 0, -np.log2(np.maximum(p, 1e-300)), 0.0)
-        m1 = (p * s).sum(axis=1)
-        m2 = (p * s * s).sum(axis=1)
-        f = m2 - m1 * m1
-        k = int(f.argmax())
-        if f[k] > best_f:
-            best_f = float(f[k])
-            best_p = p[k]
-    best_p = best_p.copy()
+    counts = []
+    for cuts in combinations(range(resolution + d - 1), d - 1):
+        edges = (-1,) + cuts + (resolution + d - 1,)
+        counts.append([edges[i + 1] - edges[i] - 1 for i in range(d)])
+    p = np.asarray(counts, dtype=np.float64) / resolution
+    s = np.where(p > 0, -np.log2(np.maximum(p, 1e-300)), 0.0)
+    m1 = (p * s).sum(axis=1)
+    m2 = (p * s * s).sum(axis=1)
+    f = m2 - m1 * m1
+    k = int(f.argmax())
+    best_p = p[k].copy()
     best_p.setflags(write=False)
-    return GridSearchResult(best_p=best_p, f_best=best_f)
+    return GridSearchResult(best_p=best_p, f_best=float(f[k]))

@@ -8,7 +8,9 @@
 
 stdout carries a short human summary; machine-readable output goes only to
 ``--out`` / ``--summary-out`` files, written with 17-significant-digit
-numbers so identical invocations produce byte-identical files.
+numbers so identical invocations produce byte-identical files.  ``verify``
+also writes each check's wall time to stderr, one ``name: X ms`` line per
+check in report order; timings never reach stdout or a report.
 
 Exit codes: 0 success, 1 verification failure, 2 input/parse error,
 3 solver non-convergence.
@@ -41,7 +43,7 @@ from .serialization import (
     trajectory_to_csv,
     vector_to_obj,
 )
-from .verify import run_checks
+from .verify import timed_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -203,7 +205,10 @@ def cmd_scan_gamma(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_checks(level=args.level, seed=args.seed)
+    results = []
+    for result, seconds in timed_checks(level=args.level, seed=args.seed):
+        print(f"{result.name}: {1e3 * seconds:.1f} ms", file=sys.stderr)
+        results.append(result)
     all_passed = all(r.passed for r in results)
     for r in results:
         mark = "ok  " if r.passed else "FAIL"

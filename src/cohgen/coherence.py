@@ -8,13 +8,19 @@ A term containing ``log₂ ρ_ii`` with a vanishing diagonal entry is defined to
 be zero: positive semidefiniteness forces the accompanying off-diagonal
 factor to vanish as well, so this is the continuous extension, and it keeps
 ±Inf out of the arithmetic.  "Vanishing" means below ``ZERO_DIAG_TOL``.
+
+Every function here also accepts a stack of states, shape (..., d, d) (for
+:func:`surprisal_variance`, of distributions, shape (..., d)), and then
+returns one result per state: an array where one state gives a float, and
+for :func:`coherence_derivative` a report whose fields are arrays.  A
+stacked call gives, bit for bit, what the calls on each state alone give.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
-from .linalg import hs_inner
+from .linalg import _unstack, hs_inner
 
 ZERO_DIAG_TOL = 1e-14
 
@@ -31,7 +37,8 @@ class DerivativeReport:
     ``boundary`` is set when some diagonal entry of the state is below
     ``BOUNDARY_DIAG_TOL``; the formula is still evaluated with the
     zero-diagonal convention but loses its smooth-derivative interpretation
-    there.
+    there.  For a stack of pairs, ``analytic``, ``min_diag`` and ``boundary``
+    are arrays with one entry per pair.
     """
 
     analytic: float
@@ -43,8 +50,11 @@ class DerivativeReport:
 
 def dephase(rho: np.ndarray) -> np.ndarray:
     """Complete dephasing: keep the diagonal, zero all off-diagonal entries."""
-    rho = np.asarray(rho)
-    return np.diag(rho.diagonal()).astype(np.complex128)
+    diag = np.asarray(rho).diagonal(axis1=-2, axis2=-1)
+    out = np.zeros(diag.shape + diag.shape[-1:], dtype=np.complex128)
+    k = np.arange(diag.shape[-1])
+    out[..., k, k] = diag
+    return out
 
 
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
@@ -66,7 +76,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     zero before taking logs.
     """
     lam = np.linalg.eigvalsh(np.asarray(rho, dtype=np.complex128))
-    return float(_entropy_bits(lam))
+    return _unstack(_entropy_bits(lam))
 
 
 def rel_entropy_coherence(rho: np.ndarray) -> float:
@@ -76,13 +86,13 @@ def rel_entropy_coherence(rho: np.ndarray) -> float:
     diagonal by construction so an eigensolve would only add noise.
     """
     rho = np.asarray(rho)
-    s_deph = float(_entropy_bits(rho.diagonal().real))
-    return max(s_deph - von_neumann_entropy(rho), 0.0) + 0.0
+    s_deph = _entropy_bits(rho.diagonal(axis1=-2, axis2=-1).real)
+    return _unstack(np.maximum(s_deph - von_neumann_entropy(rho), 0.0) + 0.0)
 
 
 def _masked_log2_diag(rho: np.ndarray):
     """Diagonal of ρ, its support mask, and log₂ of the diagonal (0 off support)."""
-    d = np.asarray(rho).diagonal().real
+    d = np.asarray(rho).diagonal(axis1=-2, axis2=-1).real
     support = d > ZERO_DIAG_TOL
     logd = np.zeros_like(d)
     logd[support] = np.log2(d[support])
@@ -98,10 +108,9 @@ def coherence_commutator(rho: np.ndarray) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=np.complex128)
     d, support, logd = _masked_log2_diag(rho)
-    m = 1j * rho * (logd[None, :] - logd[:, None])
+    m = 1j * rho * (logd[..., None, :] - logd[..., :, None])
     if not support.all():
-        m[~support, :] = 0.0
-        m[:, ~support] = 0.0
+        m[~(support[..., :, None] & support[..., None, :])] = 0.0
     return m
 
 
@@ -111,9 +120,9 @@ def coherence_derivative(hamiltonian, rho) -> DerivativeReport:
     Parameters
     ----------
     hamiltonian : array_like
-        Hermitian matrix (validated upstream).
+        Hermitian matrix (validated upstream), or a stack of them.
     rho : array_like
-        Density matrix (validated upstream).
+        Density matrix (validated upstream), or a stack of the same shape.
 
     Returns
     -------
@@ -123,7 +132,7 @@ def coherence_derivative(hamiltonian, rho) -> DerivativeReport:
     Raises
     ------
     NotHermitian
-        The rate has an imaginary part above 1e-10, which a Hermitian pair
+        A rate has an imaginary part above 1e-10, which a Hermitian pair
         cannot produce.
     """
     hamiltonian = np.asarray(hamiltonian, dtype=np.complex128)
@@ -132,16 +141,17 @@ def coherence_derivative(hamiltonian, rho) -> DerivativeReport:
         raise DimensionMismatch(
             f"shape mismatch {hamiltonian.shape} vs {rho.shape}"
         )
-    val = hs_inner(hamiltonian, coherence_commutator(rho))
+    val = np.asarray(hs_inner(hamiltonian, coherence_commutator(rho)))
     # i[ρ, log₂Δ(ρ)] is Hermitian, so the pairing is real for Hermitian H
-    if not abs(val.imag) <= 1e-10:
+    residue = val.imag.reshape(-1)
+    if not np.all(np.abs(residue) <= 1e-10):
         raise NotHermitian(
-            f"rate has imaginary residue {val.imag:.3e}; "
+            f"rate has imaginary residue {residue[np.abs(residue).argmax()]:.3e}; "
             "the Hamiltonian is not Hermitian"
         )
-    min_diag = float(rho.diagonal().real.min())
+    min_diag = _unstack(rho.diagonal(axis1=-2, axis2=-1).real.min(axis=-1))
     return DerivativeReport(
-        analytic=float(val.real),
+        analytic=_unstack(val.real),
         state=rho,
         hamiltonian=hamiltonian,
         min_diag=min_diag,
@@ -153,15 +163,25 @@ def surprisal_variance(p) -> float:
     """Variance of the surprisal -log₂ p_i under p, in bits².
 
     Zero for both the uniform distribution (constant surprisal) and
-    deterministic distributions (single outcome).
+    deterministic distributions (single outcome).  A stack of distributions
+    along the last axis gives one variance per distribution.
     """
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    nz = p > ZERO_DIAG_TOL
-    q = p[nz]
-    s = -np.log2(q)
-    mean = float((q * s).sum())
-    second = float((q * s * s).sum())
-    return max(second - mean * mean, 0.0) + 0.0
+    p = np.asarray(p, dtype=np.float64)
+    stacked = p.ndim >= 2
+    if not stacked:
+        p = p.reshape(1, -1)
+    full = (p > ZERO_DIAG_TOL).all(axis=-1)
+    s = -np.log2(np.where(full[..., None], p, 1.0))
+    mean = (p * s).sum(axis=-1)
+    second = (p * s * s).sum(axis=-1)
+    # A distribution with vanishing entries drops them before summing: kept
+    # as zeros they would move the pairwise summation's grouping.
+    for k in zip(*np.nonzero(~full)):
+        q = p[k][p[k] > ZERO_DIAG_TOL]
+        s_k = -np.log2(q)
+        mean[k], second[k] = (q * s_k).sum(), (q * s_k * s_k).sum()
+    out = np.maximum(second - mean * mean, 0.0) + 0.0
+    return out if stacked else float(out[0])
 
 
 def surprisal_variance_pairform(rho) -> float:
@@ -172,5 +192,6 @@ def surprisal_variance_pairform(rho) -> float:
     """
     d, support, logd = _masked_log2_diag(rho)
     d = np.where(support, d, 0.0)
-    diff = logd[None, :] - logd[:, None]
-    return float(0.5 * (np.outer(d, d) * diff * diff).sum())
+    diff = logd[..., None, :] - logd[..., :, None]
+    pairs = d[..., :, None] * d[..., None, :] * diff * diff
+    return _unstack(0.5 * pairs.sum(axis=(-2, -1)))

@@ -3,6 +3,12 @@
 The finite-difference derivative here is the independent check on the closed
 form in :func:`cohgen.coherence.coherence_derivative`: it knows nothing about
 commutators, only about evolving the state and differencing the coherence.
+
+:func:`fd_derivative` and :func:`entropy_derivative_check` also accept
+stacks of pairs, ρ and H of one shape (..., d, d): every pair is validated
+and the results are arrays (report fields for the latter) with one entry per
+pair, bit for bit the single-pair results.  ``evolve`` and ``trajectory``
+take one pair.
 """
 from dataclasses import dataclass
 
@@ -10,7 +16,14 @@ import numpy as np
 
 from .coherence import _entropy_bits, rel_entropy_coherence, von_neumann_entropy
 from .errors import DimensionMismatch, SingularState
-from .linalg import _as_square_complex, eig_hermitian, validate_density
+from .linalg import (
+    _adjoint,
+    _as_square_complex,
+    _as_square_stack,
+    _unstack,
+    eig_hermitian,
+    validate_density,
+)
 
 # Matrix entries per block of the stacked conjugation in `trajectory`.  A
 # whole 2000-point grid at d = 32 in one block would hold several (2000, 32,
@@ -41,19 +54,21 @@ class EntropyDerivativeReport:
     rhs: float  # -Tr[ρ̇ log₂ ρ] with ρ̇ = -i[H, ρ]
 
 
-def _check_shapes(rho, hamiltonian):
-    """Square, finite operands of one shape (``DimensionMismatch`` / ``ValueError``)."""
-    rho = _as_square_complex(rho)
-    hamiltonian = _as_square_complex(hamiltonian)
+def _check_shapes(rho, hamiltonian, as_square=_as_square_complex):
+    """Square, finite operands of one shape (``DimensionMismatch`` / ``ValueError``);
+    ``as_square=_as_square_stack`` also admits stacks."""
+    rho = as_square(rho)
+    hamiltonian = as_square(hamiltonian)
     if rho.shape != hamiltonian.shape:
         raise DimensionMismatch(f"shape mismatch {rho.shape} vs {hamiltonian.shape}")
     return rho, hamiltonian
 
 
 def _rotate(rho, lam, vec, t: float) -> np.ndarray:
-    """e^{-iHt} ρ e^{iHt} from the eigendecomposition H = V diag(λ) V†."""
-    u = (vec * np.exp(-1j * lam * t)) @ vec.conj().T
-    return u @ rho @ u.conj().T
+    """e^{-iHt} ρ e^{iHt} from the eigendecomposition H = V diag(λ) V†, for
+    one matrix or a stack."""
+    u = (vec * np.exp(-1j * lam * t)[..., None, :]) @ _adjoint(vec)
+    return u @ rho @ _adjoint(u)
 
 
 def evolve(rho, hamiltonian, t: float) -> np.ndarray:
@@ -118,10 +133,11 @@ def fd_derivative(rho, hamiltonian, h: float, richardson: bool = False) -> float
     With ``richardson=True`` the h and h/2 estimates are combined,
     ``(4 D(h/2) - D(h))/3``, cancelling the leading O(h²) truncation term.
     H is diagonalized and ρ validated once; each orbit point then costs
-    two matrix products and the coherence's eigensolve.
+    two matrix products and the coherence's eigensolve.  A stack of pairs
+    gives an array of estimates.
     """
     _validate_step(h)
-    rho, hamiltonian = _check_shapes(rho, hamiltonian)
+    rho, hamiltonian = _check_shapes(rho, hamiltonian, _as_square_stack)
     lam, vec = eig_hermitian(hamiltonian)
     rho = validate_density(rho)
 
@@ -141,9 +157,10 @@ def entropy_derivative_check(rho, hamiltonian, h: float) -> EntropyDerivativeRep
     ``lhs`` differences the entropy along the orbit; ``rhs`` evaluates
     -Tr[ρ̇ log₂ ρ] with ρ̇ = -i[H, ρ] from the von Neumann equation.  Since ρ
     commutes with log₂ ρ, both vanish analytically — the check quantifies how
-    well the numerics reproduce that.
+    well the numerics reproduce that.  A stack of pairs gives a report of
+    arrays; every state of it must be full rank.
     """
-    rho, hamiltonian = _check_shapes(rho, hamiltonian)
+    rho, hamiltonian = _check_shapes(rho, hamiltonian, _as_square_stack)
     _validate_step(h)
     lam, vec = np.linalg.eigh(rho)
     if lam.min() < 1e-10:
@@ -155,7 +172,7 @@ def entropy_derivative_check(rho, hamiltonian, h: float) -> EntropyDerivativeRep
     s_plus = von_neumann_entropy(_rotate(rho, h_lam, h_vec, h))
     s_minus = von_neumann_entropy(_rotate(rho, h_lam, h_vec, -h))
     lhs = (s_plus - s_minus) / (2 * h)
-    log_rho = (vec * np.log2(lam)) @ vec.conj().T
+    log_rho = (vec * np.log2(lam)[..., None, :]) @ _adjoint(vec)
     rho_dot = -1j * (hamiltonian @ rho - rho @ hamiltonian)
-    rhs = -float(np.trace(rho_dot @ log_rho).real)
-    return EntropyDerivativeReport(lhs=lhs, rhs=rhs)
+    rhs = -np.trace(rho_dot @ log_rho, axis1=-2, axis2=-1).real
+    return EntropyDerivativeReport(lhs=lhs, rhs=_unstack(rhs))

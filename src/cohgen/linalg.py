@@ -4,6 +4,13 @@ States and observables are plain ``numpy`` arrays.  The validators below are
 the entry points that upgrade raw arrays to the shapes/invariants the rest of
 the package relies on; they return read-only copies so validated objects
 cannot be mutated behind the caller's back.
+
+``validate_density``, ``eig_hermitian``, ``hs_norm`` and ``hs_inner`` also
+accept a stack of matrices, shape (..., d, d), and then check or return one
+result per matrix, bit for bit what a call on each matrix alone gives.
+``validate_hermitian`` takes one matrix, because the solver's entry points
+rely on it to reject anything else; ``_validate_hermitian_stack`` is its
+stacked form.
 """
 import numpy as np
 
@@ -20,13 +27,45 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-12
 
 
-def _as_square_complex(m) -> np.ndarray:
+def _as_square_stack(m) -> np.ndarray:
+    """A complex array of square matrices, shape (..., d, d), with finite entries."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
+
+
+def _as_square_complex(m) -> np.ndarray:
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    return _as_square_stack(m)
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _unstack(x: np.ndarray):
+    """A single matrix's result as a Python scalar; a stack's as its array."""
+    return x.item() if x.ndim == 0 else x
+
+
+def _validate_hermitian_stack(m, tol: float = HERM_TOL) -> np.ndarray:
+    """Stacked form of :func:`validate_hermitian`: every matrix is checked."""
+    m = _as_square_stack(m)
+    dev = np.abs(m - _adjoint(m)).max()
+    if dev > tol:
+        raise NotHermitian(
+            f"matrix deviates from its conjugate transpose by {dev:.3e} "
+            f"(tolerance {tol:.1e})"
+        )
+    out = (m + _adjoint(m)) / 2
+    out.setflags(write=False)
+    return out
 
 
 def validate_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
@@ -36,16 +75,7 @@ def validate_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
     downstream eigensolves see an exactly Hermitian operator.  The returned
     array is a read-only copy.
     """
-    m = _as_square_complex(m)
-    dev = np.abs(m - m.conj().T).max()
-    if dev > tol:
-        raise NotHermitian(
-            f"matrix deviates from its conjugate transpose by {dev:.3e} "
-            f"(tolerance {tol:.1e})"
-        )
-    out = (m + m.conj().T) / 2
-    out.setflags(write=False)
-    return out
+    return _validate_hermitian_stack(_as_square_complex(m), tol)
 
 
 def validate_density(m) -> np.ndarray:
@@ -53,30 +83,34 @@ def validate_density(m) -> np.ndarray:
 
     Entries are preserved verbatim (no renormalization, no symmetrization);
     only the checks are performed.  Raises the error naming the first violated
-    invariant together with the worst offending magnitude.
+    invariant together with the worst offending magnitude.  A stack of
+    matrices is checked matrix by matrix; the error then names the worst
+    offence against the first invariant that any of them violates.
     """
-    m = _as_square_complex(m)
-    dev = np.abs(m - m.conj().T).max()
+    m = _as_square_stack(m)
+    dev = np.abs(m - _adjoint(m)).max()
     if dev > HERM_TOL:
         raise NotHermitian(
             f"density matrix deviates from Hermiticity by {dev:.3e} "
             f"(tolerance {HERM_TOL:.1e})"
         )
-    tr = np.trace(m)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NotUnitTrace(f"trace is {tr.real:.17g}, deviation {abs(tr - 1.0):.3e}")
-    lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if lam[0] < -PSD_TOL:
-        raise NotPSD(f"smallest eigenvalue {lam[0]:.3e} below -{PSD_TOL:.1e}")
+    tr = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
+    k = int(np.abs(tr - 1.0).argmax())
+    if abs(tr[k] - 1.0) > TRACE_TOL:
+        raise NotUnitTrace(f"trace is {tr[k].real:.17g}, deviation {abs(tr[k] - 1.0):.3e}")
+    smallest = np.linalg.eigvalsh((m + _adjoint(m)) / 2)[..., 0].min()
+    if smallest < -PSD_TOL:
+        raise NotPSD(f"smallest eigenvalue {smallest:.3e} below -{PSD_TOL:.1e}")
     # ρ_ii ρ_jj ≥ |ρ_ij|² holds for any PSD matrix; with the eigenvalue test
     # passed this can only trip on borderline numerics, but it is cheap and
     # pins down the offending pair when it does.
-    diag = m.diagonal().real
-    gram = np.outer(diag, diag) - np.abs(m) ** 2
-    np.fill_diagonal(gram, 0.0)
+    d = m.shape[-1]
+    diag = m.diagonal(axis1=-2, axis2=-1).real
+    gram = (diag[..., :, None] * diag[..., None, :] - np.abs(m) ** 2).reshape(-1, d * d)
+    gram[:, :: d + 1] = 0.0
     worst = gram.min()
     if worst < -PSD_TOL:
-        i, j = np.unravel_index(gram.argmin(), gram.shape)
+        i, j = divmod(int(gram.argmin()) % (d * d), d)
         raise NotPSD(
             f"entry bound rho_{i}{i} rho_{j}{j} >= |rho_{i}{j}|^2 violated "
             f"by {-worst:.3e}"
@@ -100,12 +134,13 @@ def validate_pure_state(psi) -> np.ndarray:
 
 
 def eig_hermitian(h):
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix or of each matrix of a stack.
 
     Parameters
     ----------
     h : array_like
-        Hermitian matrix (within ``HERM_TOL``; symmetrized internally).
+        Hermitian matrix (within ``HERM_TOL``; symmetrized internally), or
+        a stack of them, shape (..., d, d).
 
     Returns
     -------
@@ -113,7 +148,7 @@ def eig_hermitian(h):
         Eigenvalues ascending; columns of the second array are the
         corresponding orthonormal eigenvectors, ``h = V diag(λ) V†``.
     """
-    h = validate_hermitian(h)
+    h = _validate_hermitian_stack(h)
     try:
         lam, vec = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh rarely fails
@@ -133,16 +168,27 @@ def unitary_exp(h, t: float) -> np.ndarray:
     return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
 
 
-def hs_norm(m) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(Tr[m† m])."""
-    m = _as_square_complex(m)
-    return float(np.linalg.norm(m))
+def hs_norm(m):
+    """Hilbert-Schmidt (Frobenius) norm sqrt(Tr[m† m]): a float for one
+    matrix, an array for a stack.
+
+    Each matrix goes through ``np.linalg.norm`` on its own: a stacked
+    reduction sums in another order and moves the last bit.
+    """
+    m = _as_square_stack(m)
+    flat = m.reshape(-1, *m.shape[-2:])
+    norms = np.array([np.linalg.norm(x) for x in flat]).reshape(m.shape[:-2])
+    return _unstack(norms)
 
 
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr(a† b)."""
-    a = _as_square_complex(a)
-    b = _as_square_complex(b)
+def hs_inner(a, b):
+    """Hilbert-Schmidt inner product Tr(a† b): a complex for one pair of
+    matrices, an array for a stack, each pair through ``np.vdot``."""
+    a = _as_square_stack(a)
+    b = _as_square_stack(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
+    d = a.shape[-1]
+    pairs = zip(a.reshape(-1, d, d), b.reshape(-1, d, d))
+    products = np.array([np.vdot(x, y) for x, y in pairs]).reshape(a.shape[:-2])
+    return _unstack(products)

@@ -2,12 +2,54 @@
 
 Every function takes an explicit ``numpy.random.Generator`` so that callers
 control determinism; none of them touch global random state.
+
+:func:`ginibre_stack` draws the Ginibre factors of many samples at once, and
+:func:`hermitian_from_ginibre` and :func:`density_from_ginibre` turn a stack
+of them into Hamiltonians or states.  One ``standard_normal((n, operands, 2,
+d, d))`` draw fills in C order, so it holds exactly the numbers that n
+rounds of ``operands`` calls of :func:`random_hermitian` /
+:func:`random_density` (rank d) would draw, in that order; the stacked
+functions then give those calls' matrices bit for bit.
 """
 import numpy as np
 
 
 def _ginibre(d: int, k: int, rng) -> np.ndarray:
     return rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+
+
+def ginibre_stack(d: int, n: int, operands: int, rng) -> np.ndarray:
+    """Ginibre factors of shape (n, operands, d, d) from one draw.
+
+    ``[k, j]`` is the factor that the j-th call of sample k would draw with
+    :func:`random_hermitian` or :func:`random_density`: the real part's
+    d×d block comes first, then the imaginary part's.
+    """
+    z = rng.standard_normal((n, operands, 2, d, d))
+    return z[:, :, 0] + 1j * z[:, :, 1]
+
+
+def hermitian_from_ginibre(g, hs_normalized: bool = False) -> np.ndarray:
+    """(g + g†)/2 for one Ginibre factor or a stack; optionally each at unit
+    Hilbert-Schmidt norm, taken per matrix by ``np.linalg.norm`` so a stack
+    gives the same bits as its matrices one by one."""
+    h = (g + g.conj().swapaxes(-1, -2)) / 2
+    if hs_normalized:
+        norms = [np.linalg.norm(x) for x in h.reshape(-1, *h.shape[-2:])]
+        h = h / np.reshape(norms, h.shape[:-2] + (1, 1))
+    return h
+
+
+def density_from_ginibre(g, mix: float = 0.0) -> np.ndarray:
+    """G G†/Tr for one d×rank Ginibre factor or a stack, blended with the
+    maximally mixed state as in :func:`random_density`."""
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    if mix:
+        d = rho.shape[-1]
+        rho = (1.0 - mix) * rho + mix * np.eye(d) / d
+    # exact Hermiticity for downstream validators
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
 def random_pure_state(d: int, rng) -> np.ndarray:
@@ -18,11 +60,7 @@ def random_pure_state(d: int, rng) -> np.ndarray:
 
 def random_hermitian(d: int, rng, hs_normalized: bool = False) -> np.ndarray:
     """Gaussian Hermitian matrix; optionally rescaled to unit Hilbert-Schmidt norm."""
-    g = _ginibre(d, d, rng)
-    h = (g + g.conj().T) / 2
-    if hs_normalized:
-        h = h / np.linalg.norm(h)
-    return h
+    return hermitian_from_ginibre(_ginibre(d, d, rng), hs_normalized)
 
 
 def random_density(d: int, rng, rank: int | None = None, mix: float = 0.0) -> np.ndarray:
@@ -34,10 +72,4 @@ def random_density(d: int, rng, rank: int | None = None, mix: float = 0.0) -> np
     """
     if rank is None:
         rank = d
-    g = _ginibre(d, rank, rng)
-    rho = g @ g.conj().T
-    rho /= rho.trace().real
-    if mix:
-        rho = (1.0 - mix) * rho + mix * np.eye(d) / d
-    # exact Hermiticity for downstream validators
-    return (rho + rho.conj().T) / 2
+    return density_from_ginibre(_ginibre(d, rank, rng), mix)

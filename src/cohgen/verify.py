@@ -9,13 +9,20 @@ acceptance tests use.
 A sampled check is declared with :func:`_sampled`: its report name, its
 tolerance, its (fast, full) sample counts per dimension, the dimensions it
 runs and its detail line, on top of a generator ``residuals(d, n, rng)``
-that yields one residual per sample.  The two checks without a sample loop
-(``capacity_bound_equality`` and ``simplex_grid_oracle``) are written out.
+that yields one residual per sample.  Most generators draw all n samples
+of a dimension at once with :func:`cohgen.sampling.ginibre_stack`, which
+gives exactly the per-sample ``random_hermitian`` / ``random_density``
+stream, pass the stacks to the library's stacked functions in one call each
+and ``yield from`` the n residuals; ``entropy_constant_along_orbit`` and
+``qubit_cross_method`` loop over samples.  The two checks without a sample
+loop (``capacity_bound_equality`` and ``simplex_grid_oracle``) are written
+out.
 
 Checks draw from per-check seeded generators, so a report is a pure function
 of (level, seed).  The check names, their order and their count are what the
 benchmark in ``perfbench/`` expects of a report.
 """
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +46,13 @@ from .coherence import (
 from .dynamics import entropy_derivative_check, fd_derivative, trajectory
 from .errors import NoConvergence
 from .linalg import hs_norm
-from .sampling import random_density, random_hermitian
+from .sampling import (
+    density_from_ginibre,
+    ginibre_stack,
+    hermitian_from_ginibre,
+    random_density,
+    random_hermitian,
+)
 
 
 @dataclass(frozen=True)
@@ -65,7 +78,7 @@ def _sampled(name, tolerance, counts, dims, detail, worst=0.0):
     ``detail`` is formatted with that ``n``.  The residual is the largest
     one yielded over ``dims`` in turn, starting from ``worst`` (``-inf``
     for a signed residual); the check passes when it is at most
-    ``tolerance``.
+    ``tolerance``.  The generator stays reachable as ``check.residuals``.
     """
 
     def decorate(residuals):
@@ -79,6 +92,7 @@ def _sampled(name, tolerance, counts, dims, detail, worst=0.0):
                                float(largest), detail.format(n=n))
 
         check.__name__, check.__doc__ = residuals.__name__, residuals.__doc__
+        check.residuals = residuals
         return check
 
     return decorate
@@ -89,11 +103,13 @@ def _sampled(name, tolerance, counts, dims, detail, worst=0.0):
 def check_dephased_log_pairing(d, n, rng):
     """Tr[Δ(A) log₂Δ(B)] = Tr[A log₂Δ(B)]: only the diagonal of A can pair
     with a dephased logarithm."""
-    for _ in range(n):
-        a = random_hermitian(d, rng)
-        b = random_density(d, rng, mix=0.05)
-        log_b = np.diag(np.log2(b.diagonal().real))
-        yield abs(np.trace(dephase(a) @ log_b).real - np.trace(a @ log_b).real)
+    g = ginibre_stack(d, n, 2, rng)
+    a = hermitian_from_ginibre(g[:, 0])
+    b = density_from_ginibre(g[:, 1], mix=0.05)
+    log_b = dephase(b)
+    log_b[:, range(d), range(d)] = np.log2(b.diagonal(axis1=1, axis2=2).real)
+    yield from abs(np.trace(dephase(a) @ log_b, axis1=1, axis2=2).real
+                   - np.trace(a @ log_b, axis1=1, axis2=2).real)
 
 
 @_sampled("surprisal_pairform_equivalence", 1e-10, (100, 1000), range(2, 7),
@@ -101,20 +117,20 @@ def check_dephased_log_pairing(d, n, rng):
 def check_pairform_equivalence(d, n, rng):
     """Pairwise surprisal form ½ Σ ρii ρjj (log₂ρjj - log₂ρii)² equals the
     plain variance of the surprisal of the diagonal."""
-    for _ in range(n):
-        rho = random_density(d, rng, mix=0.02)
-        yield abs(surprisal_variance_pairform(rho) - surprisal_variance(rho.diagonal().real))
+    rho = density_from_ginibre(ginibre_stack(d, n, 1, rng)[:, 0], mix=0.02)
+    diagonal = rho.diagonal(axis1=1, axis2=2).real
+    yield from abs(surprisal_variance_pairform(rho) - surprisal_variance(diagonal))
 
 
 @_sampled("fd_vs_analytic_rate", 1e-6, (20, 200), (2, 3, 4),
           "{n} full-support pairs per dimension 2..4, step 1e-4")
 def check_fd_vs_analytic(d, n, rng):
     """Closed-form coherence rate against the central finite difference."""
-    for _ in range(n):
-        rho = random_density(d, rng, mix=0.2)
-        h = random_hermitian(d, rng, hs_normalized=True)
-        analytic = coherence_derivative(h, rho).analytic
-        yield abs(fd_derivative(rho, h, 1e-4) - analytic)
+    g = ginibre_stack(d, n, 2, rng)
+    rho = density_from_ginibre(g[:, 0], mix=0.2)
+    h = hermitian_from_ginibre(g[:, 1], hs_normalized=True)
+    analytic = coherence_derivative(h, rho).analytic
+    yield from abs(fd_derivative(rho, h, 1e-4) - analytic)
 
 
 @_sampled("entropy_constant_along_orbit", 1e-9, (5, 20), (2, 3, 4),
@@ -132,19 +148,18 @@ def check_entropy_constant(d, n, rng):
           "{n} full-rank states per dimension 2..4")
 def check_entropy_rate_identity(d, n, rng):
     """-Tr[ρ̇ log₂ρ] with ρ̇ = -i[H,ρ] vanishes for full-rank states."""
-    for _ in range(n):
-        rho = random_density(d, rng, mix=0.2)
-        yield abs(entropy_derivative_check(rho, random_hermitian(d, rng), 1e-3).rhs)
+    g = ginibre_stack(d, n, 2, rng)
+    rho = density_from_ginibre(g[:, 0], mix=0.2)
+    yield from abs(entropy_derivative_check(rho, hermitian_from_ginibre(g[:, 1]), 1e-3).rhs)
 
 
 @_sampled("holder_saturation", 1e-9, (20, 200), range(2, 7),
           "{n} full-support states per dimension 2..6")
 def check_holder_saturation(d, n, rng):
     """The matched Hamiltonian M/‖M‖₂ achieves rate exactly ‖M‖₂."""
-    for _ in range(n):
-        rho = random_density(d, rng, mix=0.05)
-        rate = coherence_derivative(holder_hamiltonian(rho), rho).analytic
-        yield abs(rate - hs_norm(coherence_commutator(rho)))
+    rho = density_from_ginibre(ginibre_stack(d, n, 1, rng)[:, 0], mix=0.05)
+    rate = coherence_derivative(holder_hamiltonian(rho), rho).analytic
+    yield from abs(rate - hs_norm(coherence_commutator(rho)))
 
 
 def check_bound_equality(level: str, rng) -> CheckResult:
@@ -171,9 +186,9 @@ def check_bound_equality(level: str, rng) -> CheckResult:
 def check_bound_certificate(d, n, rng):
     """No random (H, ρ) pair with ‖H‖₂ = 1 beats the capacity bound."""
     bound = max_surprisal_variance(d).capacity_bound
-    for _ in range(n):
-        h = random_hermitian(d, rng, hs_normalized=True)
-        yield coherence_derivative(h, random_density(d, rng)).analytic - bound
+    g = ginibre_stack(d, n, 2, rng)
+    h = hermitian_from_ginibre(g[:, 0], hs_normalized=True)
+    yield from coherence_derivative(h, density_from_ginibre(g[:, 1])).analytic - bound
 
 
 @_sampled("qubit_cross_method", 1e-6, (3, 25), (2,),
@@ -223,13 +238,19 @@ _CHECKS = [
 ]
 
 
-def run_checks(level: str = "fast", seed: int = 0) -> list:
-    """Run the suite at the given level; returns one CheckResult per check."""
+def timed_checks(level: str = "fast", seed: int = 0):
+    """Run the suite at the given level, yielding (CheckResult, wall seconds)
+    for each check as it finishes."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
-    results = []
     for index, (min_level, fn) in enumerate(_CHECKS):
         if min_level == "full" and level != "full":
             continue
-        results.append(fn(level, _rng_for(seed, index)))
-    return results
+        start = time.perf_counter()
+        result = fn(level, _rng_for(seed, index))
+        yield result, time.perf_counter() - start
+
+
+def run_checks(level: str = "fast", seed: int = 0) -> list:
+    """Run the suite at the given level; returns one CheckResult per check."""
+    return [result for result, _ in timed_checks(level, seed)]

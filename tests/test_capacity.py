@@ -584,6 +584,8 @@ def test_grid_oracle_limits():
     with pytest.raises(ResolutionTooLarge):
         simplex_grid_oracle(2, 401)
     with pytest.raises(ValueError):
+        simplex_grid_oracle(4, 10)
+    with pytest.raises(ValueError):
         simplex_grid_oracle(5, 10)
     with pytest.raises(ValueError):
         simplex_grid_oracle(2, 0)

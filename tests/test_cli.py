@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,7 +110,7 @@ def test_no_convergence_is_a_convergence_failure(monkeypatch, capsys):
     def unconverged(level, seed):
         raise NoConvergence("no restart converged")
 
-    monkeypatch.setattr(cohgen.cli, "run_checks", unconverged)
+    monkeypatch.setattr(cohgen.cli, "timed_checks", unconverged)
     assert main(["verify", "fast"]) == 3
     assert "no restart converged" in capsys.readouterr().err
 
@@ -264,6 +265,18 @@ def test_verify_fast_passes(tmp_path, capsys):
     assert rep["passed"] is True
     assert all(c["passed"] for c in rep["checks"])
     assert len(rep["checks"]) >= 8
+
+
+def test_verify_writes_check_times_to_stderr(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert main(["verify", "fast", "--seed", "3", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+    lines = captured.err.splitlines()
+    # one line per check, in report order; no timing reaches stdout or the report
+    assert [line.split(": ")[0] for line in lines] == names
+    assert all(re.fullmatch(r"[a-z_]+: \d+\.\d ms", line) for line in lines), lines
+    assert " ms" not in captured.out and " ms" not in out.read_text()
 
 
 def test_verify_catches_log_base_mutation(tmp_path, monkeypatch, capsys):

@@ -8,15 +8,23 @@ import pytest
 import cohgen
 from cohgen import (
     DimensionMismatch,
+    NotHermitian,
+    NotPSD,
+    NotUnitTrace,
+    ZeroCommutator,
     coherence_commutator,
     coherence_derivative,
     dephase,
+    eig_hermitian,
+    holder_hamiltonian,
+    hs_inner,
     hs_norm,
     random_density,
     random_hermitian,
     rel_entropy_coherence,
     surprisal_variance,
     surprisal_variance_pairform,
+    validate_density,
     von_neumann_entropy,
 )
 from refvals import C_COMM_083, F_083, H2_025, H2_083, RATE_083
@@ -173,6 +181,22 @@ def test_surprisal_variance_degenerate_cases():
     assert surprisal_variance(np.array([1.0, 0.0])) == 0.0
 
 
+def test_surprisal_variance_drops_vanishing_entries():
+    # vanishing entries contribute nothing and must not move the bits, also
+    # past eight entries where the pairwise summation groups them
+    rng = np.random.default_rng(19)
+    for d in (3, 9, 20):
+        p = rng.random((5, d))
+        p[rng.random((5, d)) < 0.3] = 0.0
+        p[:, 0] += 0.1
+        p[1] = rng.random(d)          # one full-support row in the stack
+        p /= p.sum(axis=1, keepdims=True)
+        stacked = surprisal_variance(p)
+        for k in range(5):
+            assert stacked[k] == surprisal_variance(p[k]) == surprisal_variance(p[k][p[k] > 0])
+            assert stacked[k] > 0.0
+
+
 def test_surprisal_variance_scalar():
     assert abs(surprisal_variance(np.array([0.083, 0.917])) - F_083) < 1e-13
 
@@ -223,3 +247,65 @@ def test_dephased_log_pairing_identity():
         lhs = float(dephase(a).diagonal().real @ logdiag)
         rhs = float(np.trace(a @ np.diag(logdiag)).real)
         assert abs(lhs - rhs) < 1e-10
+
+
+def _stack_of_states(d, rng):
+    # full rank, rank one, and a state on a subspace whose vanishing
+    # diagonal entry takes the zero-support paths
+    sub = np.zeros((d, d), dtype=complex)
+    sub[1:, 1:] = random_density(d - 1, rng)
+    return np.array([random_density(d, rng), random_density(d, rng, rank=1), sub])
+
+
+@pytest.mark.parametrize("d", [3, 4, 9])
+def test_stacks_give_the_single_state_bits(d):
+    rng = np.random.default_rng(d)
+    rho = _stack_of_states(d, rng)
+    h = np.array([random_hermitian(d, rng) for _ in rho])
+    calls = {
+        "dephase": (dephase, rho),
+        "commutator": (coherence_commutator, rho),
+        "pairform": (surprisal_variance_pairform, rho),
+        "variance": (surprisal_variance, rho.diagonal(axis1=1, axis2=2).real),
+        "coherence": (rel_entropy_coherence, rho),
+        "entropy": (von_neumann_entropy, rho),
+        "norm": (hs_norm, h),
+        "holder": (holder_hamiltonian, rho),
+        "rate": (lambda *a: coherence_derivative(*a).analytic, h, rho),
+        "min_diag": (lambda *a: coherence_derivative(*a).min_diag, h, rho),
+        "boundary": (lambda *a: coherence_derivative(*a).boundary, h, rho),
+        "inner": (hs_inner, h, rho),
+        "validated": (validate_density, rho),
+        "eigenvalues": (lambda m: eig_hermitian(m)[0], h),
+        "eigenvectors": (lambda m: eig_hermitian(m)[1], h),
+    }
+    for name, (fn, *args) in calls.items():
+        stacked = fn(*args)
+        for k in range(len(rho)):
+            single = fn(*(a[k] for a in args))
+            assert np.asarray(stacked[k]).tobytes() == np.asarray(single).tobytes(), (name, k)
+
+
+def test_stacks_raise_the_single_state_errors():
+    rng = np.random.default_rng(8)
+    rho = np.array([random_density(3, rng, mix=0.1) for _ in range(4)])
+    h = np.array([random_hermitian(3, rng) for _ in range(4)])
+    skew = h.copy()
+    skew[2, 0, 1] += 1e-3
+    with pytest.raises(NotHermitian):
+        coherence_derivative(skew, rho)
+    with pytest.raises(DimensionMismatch):
+        coherence_derivative(h[:3], rho)
+    incoherent = rho.copy()
+    incoherent[1] = np.diag([0.2, 0.3, 0.5])
+    with pytest.raises(ZeroCommutator):
+        holder_hamiltonian(incoherent)
+    with pytest.raises(NotHermitian):
+        eig_hermitian(skew)
+    for bad, error in (([[0.5, 0.1, 0], [0.3, 0.3, 0], [0, 0, 0.2]], NotHermitian),
+                       (np.diag([0.5, 0.6, 0.1]), NotUnitTrace),
+                       (np.diag([1.2, -0.3, 0.1]), NotPSD)):
+        stack = rho.copy()
+        stack[3] = bad
+        with pytest.raises(error):
+            validate_density(stack)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,43 @@ def test_entropy_check_rejects_singular_state():
     psi = np.array([0.6, 0.8])
     with pytest.raises(SingularState):
         entropy_derivative_check(np.outer(psi, psi), np.eye(2), 1e-4)
+
+
+def test_fd_oracles_on_stacks_give_the_single_pair_bits():
+    rng = np.random.default_rng(12)
+    for d in (2, 3, 5):
+        rho = np.array([random_density(d, rng, mix=0.2) for _ in range(4)])
+        h = np.array([random_hermitian(d, rng) for _ in range(4)])
+        fd = fd_derivative(rho, h, 1e-4)
+        fd_r = fd_derivative(rho, h, 1e-3, richardson=True)
+        check = entropy_derivative_check(rho, h, 1e-3)
+        for k in range(4):
+            single = entropy_derivative_check(rho[k], h[k], 1e-3)
+            assert fd[k] == fd_derivative(rho[k], h[k], 1e-4)
+            assert fd_r[k] == fd_derivative(rho[k], h[k], 1e-3, richardson=True)
+            assert (check.lhs[k], check.rhs[k]) == (single.lhs, single.rhs)
+
+
+def test_fd_oracles_on_stacks_raise_the_single_pair_errors():
+    # one bad pair in a stack raises what that pair alone raises
+    rng = np.random.default_rng(13)
+    rho = np.array([random_density(2, rng, mix=0.2) for _ in range(3)])
+    h = np.array([random_hermitian(2, rng) for _ in range(3)])
+    skew = h[1].copy()
+    skew[0, 1] += 1e-3
+    bad_pairs = [(np.array([[0.5, 0.1], [0.3, 0.5]]), h[1]), (np.diag([0.5, 0.6]), h[1]),
+                 (np.diag([1.2, -0.2]), h[1]), (rho[1], skew)]
+    singular = (np.full((2, 2), 0.5), h[1])   # a pure state: log₂ρ is not finite
+    for oracle, bad in ((fd_derivative, bad_pairs),
+                        (entropy_derivative_check, bad_pairs + [singular])):
+        for bad_rho, bad_h in bad:
+            with pytest.raises(ValueError) as single:
+                oracle(bad_rho, bad_h, 1e-3)
+            stack_rho, stack_h = rho.copy(), h.copy()
+            stack_rho[1], stack_h[1] = bad_rho, bad_h
+            with pytest.raises(type(single.value), match=re.escape(str(single.value))):
+                oracle(stack_rho, stack_h, 1e-3)
+        with pytest.raises(DimensionMismatch):
+            oracle(rho, h[:2], 1e-3)
+        with pytest.raises(ValueError):
+            oracle(rho, h, 0.5)

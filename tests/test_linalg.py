@@ -172,3 +172,16 @@ def test_hs_norm_unitary_invariance():
         a = random_hermitian(d, rng)
         u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
         assert abs(hs_norm(u @ a @ u.conj().T) - hs_norm(a)) < 1e-11
+
+
+def test_hs_norm_and_inner_are_numpys_to_the_bit():
+    # reports print these with 17 digits, so a stacked reduction that sums
+    # in another order would show; a stack gives each matrix's own value
+    rng = np.random.default_rng(14)
+    for d in (2, 3, 5, 8, 32):
+        a = np.array([random_hermitian(d, rng) for _ in range(6)])
+        b = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+        norms, inner = hs_norm(b), hs_inner(a, b)
+        for k in range(6):
+            assert hs_norm(b[k]) == norms[k] == float(np.linalg.norm(b[k]))
+            assert hs_inner(a[k], b[k]) == inner[k] == complex(np.vdot(a[k], b[k]))

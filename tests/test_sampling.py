@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cohgen import (
     hs_norm,
@@ -9,6 +10,7 @@ from cohgen import (
     validate_hermitian,
     validate_pure_state,
 )
+from cohgen.sampling import density_from_ginibre, ginibre_stack, hermitian_from_ginibre
 
 
 def test_pure_states_normalized_and_seeded():
@@ -51,3 +53,27 @@ def test_density_mixing_gives_full_support():
     rho = random_density(4, rng, rank=1, mix=0.2)
     lam = np.linalg.eigvalsh(rho)
     assert lam.min() > 0.2 / 4 - 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_batched_draw_is_the_per_sample_stream(d):
+    # one standard_normal((n, 2, 2, d, d)) draw builds, bit for bit, the
+    # matrices of n rounds of random_hermitian / random_density calls
+    n = 40
+    for order in ("HR", "RH"):
+        for hs_normalized in (False, True):
+            for mix in (0.0, 0.02, 0.05, 0.2):
+                rng = np.random.default_rng([d, 11])
+                expected = [[random_hermitian(d, rng, hs_normalized) if kind == "H"
+                             else random_density(d, rng, mix=mix) for kind in order]
+                            for _ in range(n)]
+                after = rng.standard_normal()
+                rng = np.random.default_rng([d, 11])
+                g = ginibre_stack(d, n, 2, rng)
+                stacks = [hermitian_from_ginibre(g[:, j], hs_normalized) if kind == "H"
+                          else density_from_ginibre(g[:, j], mix) for j, kind in enumerate(order)]
+                for k in range(n):
+                    for j in range(2):
+                        assert stacks[j][k].tobytes() == expected[k][j].tobytes(), (order, k, j)
+                # the generator is left where the per-sample calls leave it
+                assert rng.standard_normal() == after

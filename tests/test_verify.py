@@ -8,8 +8,22 @@ import numpy as np
 import pytest
 
 import cohgen.verify
-from cohgen import run_checks
-from cohgen.verify import CheckResult, _sampled
+from cohgen import (
+    coherence_commutator,
+    coherence_derivative,
+    dephase,
+    entropy_derivative_check,
+    fd_derivative,
+    holder_hamiltonian,
+    hs_norm,
+    max_surprisal_variance,
+    random_density,
+    random_hermitian,
+    run_checks,
+    surprisal_variance,
+    surprisal_variance_pairform,
+)
+from cohgen.verify import CheckResult, _rng_for, _sampled
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -99,8 +113,10 @@ def test_sampled_driver():
 
 
 def test_sampled_checks_draw_in_their_dimensions(monkeypatch):
+    # the per-sample checks draw with random_density / random_hermitian,
+    # the batched ones with ginibre_stack; all three take d first
     drawn = []
-    for name in ("random_density", "random_hermitian"):
+    for name in ("random_density", "random_hermitian", "ginibre_stack"):
         def spy(d, *args, _draw=getattr(cohgen.verify, name), **kwargs):
             drawn.append(d)
             return _draw(d, *args, **kwargs)
@@ -112,6 +128,74 @@ def test_sampled_checks_draw_in_their_dimensions(monkeypatch):
             assert sorted(set(drawn)) == list(SAMPLED[r.name][3]), r.name
 
 
+# The per-sample bodies of the six batched checks as they were before
+# batching, kept as the reference their batched forms must reproduce.
+def reference_dephased_log_pairing(d, n, rng):
+    for _ in range(n):
+        a = random_hermitian(d, rng)
+        b = random_density(d, rng, mix=0.05)
+        log_b = np.diag(np.log2(b.diagonal().real))
+        yield abs(np.trace(dephase(a) @ log_b).real - np.trace(a @ log_b).real)
+
+
+def reference_pairform_equivalence(d, n, rng):
+    for _ in range(n):
+        rho = random_density(d, rng, mix=0.02)
+        yield abs(surprisal_variance_pairform(rho) - surprisal_variance(rho.diagonal().real))
+
+
+def reference_fd_vs_analytic(d, n, rng):
+    for _ in range(n):
+        rho = random_density(d, rng, mix=0.2)
+        h = random_hermitian(d, rng, hs_normalized=True)
+        analytic = coherence_derivative(h, rho).analytic
+        yield abs(fd_derivative(rho, h, 1e-4) - analytic)
+
+
+def reference_entropy_rate_identity(d, n, rng):
+    for _ in range(n):
+        rho = random_density(d, rng, mix=0.2)
+        yield abs(entropy_derivative_check(rho, random_hermitian(d, rng), 1e-3).rhs)
+
+
+def reference_holder_saturation(d, n, rng):
+    for _ in range(n):
+        rho = random_density(d, rng, mix=0.05)
+        rate = coherence_derivative(holder_hamiltonian(rho), rho).analytic
+        yield abs(rate - hs_norm(coherence_commutator(rho)))
+
+
+def reference_bound_certificate(d, n, rng):
+    bound = max_surprisal_variance(d).capacity_bound
+    for _ in range(n):
+        h = random_hermitian(d, rng, hs_normalized=True)
+        yield coherence_derivative(h, random_density(d, rng)).analytic - bound
+
+
+REFERENCE = {
+    "dephased_log_pairing": reference_dephased_log_pairing,
+    "surprisal_pairform_equivalence": reference_pairform_equivalence,
+    "fd_vs_analytic_rate": reference_fd_vs_analytic,
+    "entropy_rate_identity": reference_entropy_rate_identity,
+    "holder_saturation": reference_holder_saturation,
+    "capacity_bound_certificate": reference_bound_certificate,
+}
+
+
+@pytest.mark.parametrize("level, seed", [("fast", s) for s in range(5)] + [("full", 0)])
+def test_batched_checks_yield_the_per_sample_residuals(level, seed):
+    names = _load_perfbench("tracing").VERIFY_CHECKS
+    for index, (_, check) in enumerate(cohgen.verify._CHECKS):
+        if names[index] not in REFERENCE:
+            continue
+        _, fast_n, full_n, dims = SAMPLED[names[index]]
+        n = full_n if level == "full" else fast_n
+        batched, reference = _rng_for(seed, index), _rng_for(seed, index)
+        for d in dims:
+            expected = list(REFERENCE[names[index]](d, n, reference))
+            assert list(check.residuals(d, n, batched)) == expected, (names[index], d)
+
+
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         run_checks("extreme", seed=0)
@@ -119,6 +203,16 @@ def test_unknown_level_rejected():
 
 def _scale(factor):
     return lambda f: lambda *args: factor * f(*args)
+
+
+def _skew_eigenbasis(f):
+    # row 0 of every eigenbasis scaled by 1.01: V is no longer unitary
+    def mutant(*args):
+        lam, vec = f(*args)
+        vec = vec.copy()
+        vec[..., 0, :] *= 1.01
+        return lam, vec
+    return mutant
 
 
 # Each mutant must fail exactly the named checks.  dephased_log_pairing has
@@ -134,7 +228,13 @@ MUTANTS = {
                                 {"fd_vs_analytic_rate", "holder_saturation",
                                  "capacity_bound_equality"}),
     "hs_norm_off_by_1e-3": ("verify", "hs_norm", _scale(1.001), {"holder_saturation"}),
+    "eigenbasis_not_unitary": ("dynamics", "eig_hermitian", _skew_eigenbasis,
+                               {"entropy_constant_along_orbit", "fd_vs_analytic_rate"}),
 }
+
+# The certificate's worst random pair sits far below the bound (ROADMAP item
+# 7), so it catches the halved family maximum on seeds 0 and 2 but not on 1.
+MUTANT_SEEDS = {"family_f_halved": (0,)}
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
@@ -142,7 +242,8 @@ def test_named_mutant_fails_its_checks(mutant, monkeypatch):
     module, attr, mutate, expected = MUTANTS[mutant]
     target = importlib.import_module(f"cohgen.{module}")
     monkeypatch.setattr(target, attr, mutate(getattr(target, attr)))
-    assert {r.name for r in run_checks("fast", 0) if not r.passed} == expected
+    for seed in MUTANT_SEEDS.get(mutant, (0, 1, 2)):
+        assert {r.name for r in run_checks("fast", seed) if not r.passed} == expected, seed
 
 
 def test_report_does_not_depend_on_asserts(tmp_path):
