@@ -14,6 +14,7 @@ test suite to confirm the family is not beaten anywhere on the simplex.
 """
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -51,7 +52,8 @@ class SolverConfig:
     at most ``max_iters`` accepted steps per restart, each pass a few numpy
     calls on a (restarts, d) array.  A restart stops when its projected
     gradient norm reaches ``grad_tol``; ``step_init`` is its first trial step.
-    Both must be finite and positive.
+    Both must be finite and positive; ``restarts`` and ``max_iters`` must be
+    integers, numpy integers included.
     The search runs over pure states only; the test suite keeps a
     density-matrix ascent as an oracle that never beats it.
     """
@@ -64,10 +66,10 @@ class SolverConfig:
 
 
 def _validate_config(cfg: SolverConfig):
-    if cfg.restarts < 1:
-        raise ValueError(f"restarts must be ≥ 1, got {cfg.restarts}")
-    if cfg.max_iters < 1:
-        raise ValueError(f"max_iters must be ≥ 1, got {cfg.max_iters}")
+    for name in ("restarts", "max_iters"):
+        value = getattr(cfg, name)
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer ≥ 1, got {value}")
     if not 0 < cfg.grad_tol < math.inf:  # also rejects NaN
         raise ValueError(f"grad_tol must be finite and positive, got {cfg.grad_tol}")
     if not 0 < cfg.step_init < math.inf:
@@ -134,6 +136,11 @@ def _bisect_root(phi, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _check_dim(d: int):
+    if d < 2:
+        raise DimensionMismatch(f"dimension must be ≥ 2, got {d}")
+
+
 def _qubit_g(x: float) -> float:
     """sqrt(x(1-x)) log₂((1-x)/x); 2|H₁₀| times its max is the qubit capacity."""
     return math.sqrt(x * (1.0 - x)) * math.log2((1.0 - x) / x)
@@ -177,23 +184,24 @@ def max_surprisal_variance(d: int) -> GammaResult:
     """Maximize the surprisal variance over the two-level family for dimension d.
 
     f(γ) vanishes at γ ∈ {0, 1/d, 1} and has one interior peak on each side
-    of the uniform point γ = 1/d, so each side is solved separately, as the
-    root of its stationarity condition (see _branch_peak), and the larger
-    peak wins.  For d = 2 the two peaks are mirror images with identical
-    height; the smaller γ is returned.
+    of the uniform point γ = 1/d, the root of its branch's stationarity
+    condition (see _branch_peak).  Which peak is higher is known in advance,
+    so only that branch is solved.  With L(γ; d) = log₂((1-γ)/((d-1)γ)):
+
+    - d = 2: the two peaks are mirror images, γ ↔ 1-γ, with equal height;
+      the lower one, γ* < 1/2, is returned.
+    - d ≥ 3: the upper peak wins.  On the lower branch, 0 < L(γ; d) ≤ L(γ; 2),
+      so f(γ; d) ≤ f(γ; 2) ≤ f_max(2) = 0.9142.  On the upper branch,
+      |L(0.9; d)| = log₂(9(d-1)) grows with d, so the upper peak is at least
+      f(0.9; 3) = 1.5649 > 0.9142.
+
+    ``DimensionMismatch`` for d < 2.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be ≥ 2, got {d}")
-    eps = 1e-12
-    uniform = 1.0 / d
-    g_lo, f_lo = _branch_peak(d, eps, uniform)
-    g_hi, f_hi = _branch_peak(d, uniform, 1.0 - eps)
-    if abs(f_lo - f_hi) <= 1e-12:
-        gamma, f_max = (g_lo, f_lo) if g_lo <= g_hi else (g_hi, f_hi)
-    elif f_lo > f_hi:
-        gamma, f_max = g_lo, f_lo
+    _check_dim(d)
+    if d == 2:
+        gamma, f_max = _branch_peak(2, 1e-12, 0.5)
     else:
-        gamma, f_max = g_hi, f_hi
+        gamma, f_max = _branch_peak(d, 1.0 / d, 1.0 - 1e-12)
     return GammaResult(
         gamma=float(gamma),
         f_max=float(f_max),
@@ -206,8 +214,7 @@ def max_surprisal_variance(d: int) -> GammaResult:
 
 def optimal_state(d: int, gamma: float) -> np.ndarray:
     """Pure state sqrt(γ)|0⟩ + sqrt((1-γ)/(d-1)) Σ_{i≥1}|i⟩ as an amplitude vector."""
-    if d < 2:
-        raise ValueError(f"dimension must be ≥ 2, got {d}")
+    _check_dim(d)
     if not 0.0 < gamma < 1.0:
         raise InvalidGamma(f"gamma must lie in (0, 1), got {gamma}")
     amp = np.full(d, math.sqrt((1.0 - gamma) / (d - 1)), dtype=np.complex128)
@@ -222,8 +229,7 @@ def optimal_hamiltonian(d: int) -> np.ndarray:
     Entrywise: H₀ⱼ = i/sqrt(2(d-1)) and Hⱼ₀ = -i/sqrt(2(d-1)) for j ≥ 1, zero
     elsewhere; unit Hilbert-Schmidt norm by construction.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be ≥ 2, got {d}")
+    _check_dim(d)
     a = 1.0 / math.sqrt(2.0 * (d - 1))
     h = np.zeros((d, d), dtype=np.complex128)
     h[0, 1:] = 1j * a
@@ -290,21 +296,14 @@ def capacity_qubit(hamiltonian) -> CapacityResult:
         raise DimensionMismatch(f"expected a 2×2 matrix, got shape {h.shape}")
     coupling = abs(complex(h[1, 0]))
     if coupling == 0.0:
+        x = value = 0.0
         state = np.diag([1.0 + 0j, 0j])
-        state.setflags(write=False)
-        return CapacityResult(
-            value=0.0,
-            argmax_state=state,
-            method=SolverMethod.QUBIT_ANALYTIC,
-            restarts_used=0,
-            converged=True,
-            min_diag=0.0,
-        )
-    x = max_surprisal_variance(2).gamma
-    value = 2.0 * coupling * _qubit_g(x)
-    alpha = math.atan2(h[0, 1].imag, h[0, 1].real) - math.pi / 2.0
-    off = math.sqrt(x * (1.0 - x)) * np.exp(1j * alpha)
-    state = np.array([[x, off], [np.conj(off), 1.0 - x]], dtype=np.complex128)
+    else:
+        x = max_surprisal_variance(2).gamma
+        value = 2.0 * coupling * _qubit_g(x)
+        alpha = math.atan2(h[0, 1].imag, h[0, 1].real) - math.pi / 2.0
+        off = math.sqrt(x * (1.0 - x)) * np.exp(1j * alpha)
+        state = np.array([[x, off], [np.conj(off), 1.0 - x]], dtype=np.complex128)
     state.setflags(write=False)
     return CapacityResult(
         value=float(value),
@@ -448,8 +447,7 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     _validate_config(cfg)
     h = validate_hermitian(hamiltonian)
     d = h.shape[0]
-    if d < 2:
-        raise DimensionMismatch(f"dimension must be ≥ 2, got {d}")
+    _check_dim(d)
     rng = np.random.default_rng(cfg.seed)
     x0 = np.array([random_pure_state(d, rng) for _ in range(cfg.restarts)])
     x, values, converged = _armijo_ascent(

@@ -41,7 +41,6 @@ from .serialization import (
     parse_matrix_text,
     parse_state_text,
     trajectory_to_csv,
-    vector_to_obj,
 )
 from .verify import timed_checks
 
@@ -147,7 +146,7 @@ def cmd_optimal(args) -> int:
         "gamma": family.gamma,
         "f_max": family.f_max,
         "capacity_bound": family.capacity_bound,
-        "state": vector_to_obj(psi),
+        "state": matrix_to_obj(psi),
         "hamiltonian": matrix_to_obj(ham),
     }
     print(f"dim {args.dim}: gamma* {family.gamma:.12g}, "

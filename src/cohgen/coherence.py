@@ -32,7 +32,8 @@ BOUNDARY_DIAG_TOL = 1e-10
 
 @dataclass(frozen=True)
 class DerivativeReport:
-    """Analytic instantaneous rate of change of coherence at t = 0.
+    """Analytic instantaneous rate of change of coherence at t = 0, with the
+    smallest diagonal entry of the state it was evaluated at.
 
     ``boundary`` is set when some diagonal entry of the state is below
     ``BOUNDARY_DIAG_TOL``; the formula is still evaluated with the
@@ -42,8 +43,6 @@ class DerivativeReport:
     """
 
     analytic: float
-    state: np.ndarray
-    hamiltonian: np.ndarray
     min_diag: float
     boundary: bool
 
@@ -152,8 +151,6 @@ def coherence_derivative(hamiltonian, rho) -> DerivativeReport:
     min_diag = _unstack(rho.diagonal(axis1=-2, axis2=-1).real.min(axis=-1))
     return DerivativeReport(
         analytic=_unstack(val.real),
-        state=rho,
-        hamiltonian=hamiltonian,
         min_diag=min_diag,
         boundary=min_diag < BOUNDARY_DIAG_TOL,
     )

@@ -28,10 +28,10 @@ PSD_TOL = 1e-12
 
 
 def _as_square_stack(m) -> np.ndarray:
-    """A complex array of square matrices, shape (..., d, d), with finite entries."""
+    """A complex array of non-empty square matrices, shape (..., d, d), with finite entries."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
@@ -54,28 +54,28 @@ def _unstack(x: np.ndarray):
     return x.item() if x.ndim == 0 else x
 
 
-def _validate_hermitian_stack(m, tol: float = HERM_TOL) -> np.ndarray:
+def _validate_hermitian_stack(m) -> np.ndarray:
     """Stacked form of :func:`validate_hermitian`: every matrix is checked."""
     m = _as_square_stack(m)
     dev = np.abs(m - _adjoint(m)).max()
-    if dev > tol:
+    if dev > HERM_TOL:
         raise NotHermitian(
             f"matrix deviates from its conjugate transpose by {dev:.3e} "
-            f"(tolerance {tol:.1e})"
+            f"(tolerance {HERM_TOL:.1e})"
         )
     out = (m + _adjoint(m)) / 2
     out.setflags(write=False)
     return out
 
 
-def validate_hermitian(m, tol: float = HERM_TOL) -> np.ndarray:
+def validate_hermitian(m) -> np.ndarray:
     """Check Hermiticity entrywise and return the symmetrized matrix.
 
-    Inputs within ``tol`` of Hermitian are replaced by ``(m + m†)/2`` so that
+    Inputs within ``HERM_TOL`` of Hermitian are replaced by ``(m + m†)/2`` so that
     downstream eigensolves see an exactly Hermitian operator.  The returned
     array is a read-only copy.
     """
-    return _validate_hermitian_stack(_as_square_complex(m), tol)
+    return _validate_hermitian_stack(_as_square_complex(m))
 
 
 def validate_density(m) -> np.ndarray:
@@ -121,8 +121,14 @@ def validate_density(m) -> np.ndarray:
 
 
 def validate_pure_state(psi) -> np.ndarray:
-    """Check a state vector is normalized; returns a read-only copy."""
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
+    """Check a state vector is normalized; returns a read-only copy.
+
+    Only a 1-D array is a state vector: anything else, a matrix included,
+    raises ``DimensionMismatch``.
+    """
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.ndim != 1:
+        raise DimensionMismatch(f"expected a state vector, got shape {psi.shape}")
     if not np.all(np.isfinite(psi)):
         raise ValueError("state vector contains NaN or Inf entries")
     nrm2 = float(np.vdot(psi, psi).real)

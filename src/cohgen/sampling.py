@@ -13,6 +13,8 @@ functions then give those calls' matrices bit for bit.
 """
 import numpy as np
 
+from .linalg import hs_norm
+
 
 def _ginibre(d: int, k: int, rng) -> np.ndarray:
     return rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
@@ -30,13 +32,12 @@ def ginibre_stack(d: int, n: int, operands: int, rng) -> np.ndarray:
 
 
 def hermitian_from_ginibre(g, hs_normalized: bool = False) -> np.ndarray:
-    """(g + g†)/2 for one Ginibre factor or a stack; optionally each at unit
-    Hilbert-Schmidt norm, taken per matrix by ``np.linalg.norm`` so a stack
-    gives the same bits as its matrices one by one."""
+    """(g + g†)/2 for one Ginibre factor or a stack; optionally each divided
+    by its :func:`cohgen.linalg.hs_norm`, which a stack gives bit for bit as
+    its matrices one by one."""
     h = (g + g.conj().swapaxes(-1, -2)) / 2
     if hs_normalized:
-        norms = [np.linalg.norm(x) for x in h.reshape(-1, *h.shape[-2:])]
-        h = h / np.reshape(norms, h.shape[:-2] + (1, 1))
+        h = h / np.reshape(hs_norm(h), h.shape[:-2] + (1, 1))
     return h
 
 

@@ -5,11 +5,13 @@ IEEE-754 doubles exactly, so identical inputs produce byte-identical files on
 any platform.  Parsing is strict: malformed input raises
 :class:`cohgen.errors.ParseError` with the offending location.
 """
+import dataclasses
 import json
 import math
 
 import numpy as np
 
+from .capacity import SolverConfig
 from .errors import ParseError
 
 
@@ -39,16 +41,17 @@ def _scalar(x) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
-def dumps_17(obj, indent: int = 2) -> str:
-    """JSON text with every float at 17 significant digits.
+def dumps_17(obj) -> str:
+    """JSON text with every float at 17 significant digits, indented by two
+    spaces a level.
 
     Lists containing only numbers are kept on one line (matrix rows stay
     readable); dict keys keep insertion order.  Ends with a newline.
     """
 
     def emit(x, depth):
-        pad = " " * (indent * depth)
-        inner = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        inner = "  " * (depth + 1)
         if isinstance(x, dict):
             if not x:
                 return "{}"
@@ -79,13 +82,10 @@ def parse_json_text(text: str):
 # matrix / vector schema: {"dim": d, "re": ..., "im": ...}
 
 def matrix_to_obj(m) -> dict:
+    """The schema object of a d×d matrix (rows of numbers) or of a length-d
+    vector (a flat list), which :func:`parse_state_text` tells apart."""
     m = np.asarray(m, dtype=np.complex128)
     return {"dim": int(m.shape[0]), "re": m.real.tolist(), "im": m.imag.tolist()}
-
-
-def vector_to_obj(v) -> dict:
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    return {"dim": int(v.size), "re": v.real.tolist(), "im": v.imag.tolist()}
 
 
 def _require_dim(obj) -> int:
@@ -165,13 +165,7 @@ def trajectory_to_csv(traj) -> str:
 # ---------------------------------------------------------------------------
 # solver config: flat key=value lines
 
-_CONFIG_FIELDS = {
-    "restarts": int,
-    "max_iters": int,
-    "grad_tol": float,
-    "step_init": float,
-    "seed": int,
-}
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
 
 
 def parse_config_text(text: str) -> dict:

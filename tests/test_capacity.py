@@ -36,6 +36,7 @@ from cohgen.capacity import (
     _FLOOR,
     _armijo_ascent,
     _branch_peak,
+    _family_f,
     _family_log_ratio,
     _rho_from_factor,
 )
@@ -130,6 +131,52 @@ def test_branch_peaks_are_roots_of_the_stationarity_condition():
             assert _phi(g * (1 - 1e-9), d) * _phi(g * (1 + 1e-9), d) < 0, (d, g)
         assert roots[0] < uniform < roots[1]
         assert max_surprisal_variance(d).gamma in roots
+
+
+def _two_branch_selection(d):
+    """The family maximum as it was chosen before the branch was known in
+    advance: solve both peaks and keep the larger, the lower γ on a tie."""
+    eps = 1e-12
+    uniform = 1.0 / d
+    g_lo, f_lo = _branch_peak(d, eps, uniform)
+    g_hi, f_hi = _branch_peak(d, uniform, 1.0 - eps)
+    if abs(f_lo - f_hi) <= 1e-12:
+        return (g_lo, f_lo) if g_lo <= g_hi else (g_hi, f_hi)
+    return (g_lo, f_lo) if f_lo > f_hi else (g_hi, f_hi)
+
+
+def test_one_branch_gives_the_two_branch_selection_bit_for_bit():
+    for d in list(range(2, 400)) + [10**3, 10**4, 10**5, 10**6]:
+        gamma, f_max = _two_branch_selection(d)
+        res = max_surprisal_variance(d)
+        assert (res.gamma, res.f_max, res.capacity_bound) == (
+            gamma, f_max, math.sqrt(2.0 * f_max)), d
+
+
+def test_branch_choice_proof_inequalities():
+    # max_surprisal_variance's docstring: the lower branch never reaches
+    # f_max(2), the upper branch of every d >= 3 passes it at γ = 0.9
+    f2 = max_surprisal_variance(2).f_max
+    assert abs(f2 - 0.9142) < 1e-4 and abs(_family_f(0.9, 3) - 1.5649) < 1e-4
+    for d in (3, 4, 7, 32, 399, 10**3, 10**6):
+        grid = np.linspace(0.0, 1.0 / d, 2001)[1:-1]
+        for g in grid:
+            assert 0.0 < _family_log_ratio(g, d) <= _family_log_ratio(g, 2), (d, g)
+            assert _family_f(g, d) <= _family_f(g, 2), (d, g)
+        assert _family_f(0.9, d) >= _family_f(0.9, 3) > f2, d
+        assert max_surprisal_variance(d).gamma > 1.0 / d
+
+
+@pytest.mark.parametrize("d", [1, 0, -3])
+def test_dimension_below_two_is_a_dimension_mismatch(d):
+    with pytest.raises(DimensionMismatch):
+        max_surprisal_variance(d)
+    with pytest.raises(DimensionMismatch):
+        optimal_state(d, 0.5)
+    with pytest.raises(DimensionMismatch):
+        optimal_hamiltonian(d)
+    with pytest.raises(DimensionMismatch):
+        capacity_numeric(np.zeros((max(d, 0), max(d, 0))))
 
 
 # ------------------------------------------------- optimal states/Hamiltonians
@@ -543,9 +590,15 @@ def test_solver_config_validation():
         SolverConfig(grad_tol=math.inf),
         SolverConfig(step_init=math.inf),
         SolverConfig(grad_tol=math.nan),
+        # counts are integers: no 2.5 restarts, no 2.5 accepted steps
+        SolverConfig(restarts=2.5),
+        SolverConfig(max_iters=2.5),
     ):
         with pytest.raises(ValueError):
             capacity_numeric(h, bad)
+    # numpy integers are integers
+    cfg = SolverConfig(restarts=np.int64(2), max_iters=np.int32(50))
+    assert capacity_numeric(h, cfg).restarts_used == 2
 
 
 def test_numeric_rejects_1x1():

@@ -17,7 +17,7 @@ from cohgen import (
     rel_entropy_coherence,
 )
 from cohgen.cli import main
-from cohgen.serialization import dumps_17, matrix_to_obj, vector_to_obj
+from cohgen.serialization import dumps_17, matrix_to_obj
 from refvals import BOUND, F_MAX, GAMMA_STAR, X_STAR
 
 
@@ -27,7 +27,7 @@ def _write_matrix(path, m):
 
 
 def _write_vector(path, v):
-    path.write_text(dumps_17(vector_to_obj(np.asarray(v, dtype=complex))))
+    path.write_text(dumps_17(matrix_to_obj(np.asarray(v, dtype=complex))))
     return str(path)
 
 

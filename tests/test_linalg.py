@@ -79,6 +79,9 @@ def test_validate_pure_state():
     validate_pure_state(np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         validate_pure_state(np.array([1.0, 1.0]))
+    # a unit-norm matrix is not a state vector
+    with pytest.raises(DimensionMismatch):
+        validate_pure_state(np.eye(2) / np.sqrt(2))
 
 
 def test_eig_identity():

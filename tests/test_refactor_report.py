@@ -1,0 +1,47 @@
+import importlib.util
+import os
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location(
+        "refactor_report", os.path.join(ROOT, "tools", "refactor_report.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SNIPPET = '''"""Module docstring
+over two lines."""
+import math  # a trailing comment
+
+
+# a comment line
+def f(x):
+    """One-line docstring."""
+
+    y = (x +
+         1)
+    return math.sqrt(y)
+
+
+class C:
+    """Class docstring."""
+    z = """not a docstring"""
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    tool = _load_tool()
+    # import, def, the two lines of y, return, class, z
+    assert tool.code_lines(SNIPPET) == 7
+    assert tool.code_lines("") == 0
+
+
+def test_package_count_sums_its_modules(tmp_path):
+    tool = _load_tool()
+    (tmp_path / "a.py").write_text(SNIPPET)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("x = 1\n")
+    assert tool.count_package(str(tmp_path)) == {"a": 7, "b": 1, "total": 8}

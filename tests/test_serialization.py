@@ -17,7 +17,6 @@ from cohgen.serialization import (
     parse_state_text,
     trajectory_to_csv,
     vector_from_obj,
-    vector_to_obj,
 )
 
 
@@ -61,7 +60,7 @@ def test_matrix_round_trip_bit_exact():
 
 def test_vector_round_trip():
     v = np.array([0.6, -0.8j, 1e-17 + 1j])
-    back = vector_from_obj(parse_json_text(dumps_17(vector_to_obj(v))))
+    back = vector_from_obj(parse_json_text(dumps_17(matrix_to_obj(v))))
     assert np.array_equal(back, v)
 
 

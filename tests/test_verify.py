@@ -9,6 +9,7 @@ import pytest
 
 import cohgen.verify
 from cohgen import (
+    GammaResult,
     coherence_commutator,
     coherence_derivative,
     dephase,
@@ -23,6 +24,7 @@ from cohgen import (
     surprisal_variance,
     surprisal_variance_pairform,
 )
+from cohgen.capacity import _branch_peak
 from cohgen.verify import CheckResult, _rng_for, _sampled
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -215,6 +217,15 @@ def _skew_eigenbasis(f):
     return mutant
 
 
+def _lower_branch(f):
+    # the family maximum taken on the lower branch for every d, the peak
+    # that loses for d >= 3
+    def mutant(d):
+        gamma, f_max = _branch_peak(d, 1e-12, 1.0 / d)
+        return GammaResult(gamma, f_max, math.sqrt(2.0 * f_max))
+    return mutant
+
+
 # Each mutant must fail exactly the named checks.  dephased_log_pairing has
 # none: both of its sides reduce to sum_i A_ii log2 B_ii, so it reads 0.0.
 MUTANTS = {
@@ -230,11 +241,17 @@ MUTANTS = {
     "hs_norm_off_by_1e-3": ("verify", "hs_norm", _scale(1.001), {"holder_saturation"}),
     "eigenbasis_not_unitary": ("dynamics", "eig_hermitian", _skew_eigenbasis,
                                {"entropy_constant_along_orbit", "fd_vs_analytic_rate"}),
+    "family_lower_branch": ("verify", "max_surprisal_variance", _lower_branch,
+                            {"simplex_grid_oracle"}),
 }
 
 # The certificate's worst random pair sits far below the bound (ROADMAP item
 # 7), so it catches the halved family maximum on seeds 0 and 2 but not on 1.
 MUTANT_SEEDS = {"family_f_halved": (0,)}
+
+# Only the grid oracle, a full-level check, sees the lower branch's bound,
+# 44% low at d = 3: the certificate's random pairs stay below even that.
+MUTANT_LEVEL = {"family_lower_branch": "full"}
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
@@ -242,8 +259,9 @@ def test_named_mutant_fails_its_checks(mutant, monkeypatch):
     module, attr, mutate, expected = MUTANTS[mutant]
     target = importlib.import_module(f"cohgen.{module}")
     monkeypatch.setattr(target, attr, mutate(getattr(target, attr)))
+    level = MUTANT_LEVEL.get(mutant, "fast")
     for seed in MUTANT_SEEDS.get(mutant, (0, 1, 2)):
-        assert {r.name for r in run_checks("fast", seed) if not r.passed} == expected, seed
+        assert {r.name for r in run_checks(level, seed) if not r.passed} == expected, seed
 
 
 def test_report_does_not_depend_on_asserts(tmp_path):

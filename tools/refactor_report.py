@@ -1,0 +1,162 @@
+"""Code-line counts and CLI output hashes of a cohgen checkout, for refactors.
+
+    python tools/refactor_report.py SRC OUT.json
+
+SRC is the root of a checkout (it holds ``src/cohgen`` and
+``perfbench/workloads.py``).  OUT.json gets two tables:
+
+- ``code_lines``: per module of ``SRC/src/cohgen``, the lines that hold
+  code, counted with ``tokenize`` after ``ast`` has marked the docstrings;
+  comments, blank lines and docstrings do not count.  ``total`` sums them.
+- ``outputs``: one SHA-256 per standard CLI run, over its exit code, its
+  stdout and every file it writes (stderr is left out: ``verify`` writes
+  wall times there).  The runs are ``verify fast --seed 0..49``, ``verify
+  full --seed 0`` and ``--seed 7``, the verify requests of benchmark seeds
+  0 and 310 for groups 0..599, ``capacity`` and ``evolve`` for benchmark
+  groups (0, 0), (0, 1), (310, 0) and (1, 5), ``optimal`` for d = 2..32
+  and ``scan-gamma`` for d = 2, 3, 7 and 40.  The benchmark requests are
+  built by ``SRC/perfbench/workloads.py``.
+
+A refactor that keeps every output runs this on its parent checkout and on
+itself and compares the two files: ``diff`` shows only the line counts that
+moved.  The runs share one process, with SRC's cohgen imported and BLAS on
+one thread as in the benchmark.
+"""
+import ast
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+import tokenize
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _docstring_lines(tree) -> set:
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """Lines of ``source`` holding a token other than a comment, outside docstrings."""
+    skip = _docstring_lines(ast.parse(source))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - skip)
+
+
+def count_package(package_dir: str) -> dict:
+    counts = {}
+    for name in sorted(os.listdir(package_dir)):
+        if name.endswith(".py"):
+            with open(os.path.join(package_dir, name), encoding="utf-8") as fh:
+                counts[name[:-3]] = code_lines(fh.read())
+    counts["total"] = sum(counts.values())
+    return counts
+
+
+def _load(path: str, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _requests(workloads, workdir: str):
+    """(label, argv, input files, output paths) of every standard run."""
+    def out(name):
+        return os.path.join(workdir, name)
+
+    for seed in range(50):
+        yield (f"verify fast --seed {seed}",
+               ["verify", "fast", "--seed", str(seed), "--out", out("v.json")], {}, [out("v.json")])
+    for seed in (0, 7):
+        yield (f"verify full --seed {seed}",
+               ["verify", "full", "--seed", str(seed), "--out", out("v.json")], {}, [out("v.json")])
+    for seed in (0, 310):
+        for group in range(600):
+            for req in workloads.verify_group(seed, group, workdir):
+                yield f"verify_group {seed} {group}", req.argv, req.files, [req.out]
+    for seed, group in ((0, 0), (0, 1), (310, 0), (1, 5)):
+        for make in (workloads.capacity_group, workloads.orbit_group):
+            for req in make(seed, group, workdir):
+                yield (f"{make.__name__} {seed} {group} {req.kind} {req.dim}",
+                       req.argv, req.files, [req.out])
+    for d in range(2, 33):
+        yield (f"optimal --dim {d}",
+               ["optimal", "--dim", str(d), "--out", out("o.json")], {}, [out("o.json")])
+    for d in (2, 3, 7, 40):
+        files = [out("s.csv"), out("s.json")]
+        yield (f"scan-gamma --dim {d}",
+               ["scan-gamma", "--dim", str(d), "--out", files[0], "--summary-out", files[1]],
+               {}, files)
+
+
+def hash_outputs(root: str) -> dict:
+    """SHA-256 of every standard run of the CLI imported from ``root/src``."""
+    sys.path.insert(0, os.path.join(root, "src"))
+    from cohgen import cli
+
+    if not os.path.abspath(cli.__file__).startswith(os.path.abspath(root) + os.sep):
+        raise RuntimeError(f"imported {cli.__file__}, not the cohgen of {root}")
+    workloads = _load(os.path.join(root, "perfbench", "workloads.py"), "refactor_workloads")
+    hashes = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for label, argv, files, outputs in _requests(workloads, workdir):
+            for path, text in files.items():
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            for path in outputs:
+                if os.path.exists(path):
+                    os.remove(path)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            digest = hashlib.sha256(f"exit {code}\n{stdout.getvalue()}".encode())
+            for path in outputs:
+                if os.path.exists(path):  # a failed run may write nothing
+                    with open(path, "rb") as fh:
+                        digest.update(fh.read())
+                else:
+                    digest.update(b"no file")
+            if label in hashes:
+                raise RuntimeError(f"duplicate run label {label!r}")
+            hashes[label] = digest.hexdigest()
+    return hashes
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    root, out = argv
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")  # as the benchmark runs; set before numpy loads
+    report = {
+        "code_lines": count_package(os.path.join(root, "src", "cohgen")),
+        "outputs": hash_outputs(root),
+    }
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    print(f"{report['code_lines']['total']} code lines, {len(report['outputs'])} outputs -> {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
