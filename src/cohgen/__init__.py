@@ -23,7 +23,6 @@ from .capacity import (
     simplex_grid_oracle,
 )
 from .coherence import (
-    DerivativeReport,
     coherence_commutator,
     coherence_derivative,
     dephase,
@@ -33,7 +32,6 @@ from .coherence import (
     von_neumann_entropy,
 )
 from .dynamics import (
-    EntropyDerivativeReport,
     Trajectory,
     entropy_derivative_check,
     evolve,
@@ -76,9 +74,7 @@ __all__ = [
     "CapacityResult",
     "CheckResult",
     "ConvergenceFailure",
-    "DerivativeReport",
     "DimensionMismatch",
-    "EntropyDerivativeReport",
     "GammaResult",
     "GridSearchResult",
     "InvalidGamma",

@@ -68,7 +68,7 @@ class SolverConfig:
 def _validate_config(cfg: SolverConfig):
     for name in ("restarts", "max_iters"):
         value = getattr(cfg, name)
-        if not isinstance(value, numbers.Integral) or value < 1:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
             raise ValueError(f"{name} must be an integer ≥ 1, got {value}")
     if not 0 < cfg.grad_tol < math.inf:  # also rejects NaN
         raise ValueError(f"grad_tol must be finite and positive, got {cfg.grad_tol}")
@@ -137,6 +137,8 @@ def _bisect_root(phi, lo: float, hi: float) -> float:
 
 
 def _check_dim(d: int):
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+        raise DimensionMismatch(f"dimension must be an integer, got {d!r}")
     if d < 2:
         raise DimensionMismatch(f"dimension must be ≥ 2, got {d}")
 
@@ -270,7 +272,7 @@ def capacity_bound_equality(d: int) -> BoundEqualityReport:
     psi = optimal_state(d, res.gamma)
     rho = np.outer(psi, psi.conj())
     h = holder_hamiltonian(rho)
-    lhs = coherence_derivative(h, rho).analytic
+    lhs = coherence_derivative(h, rho)
     return BoundEqualityReport(lhs=lhs, rhs=res.capacity_bound, gap=abs(lhs - res.capacity_bound))
 
 

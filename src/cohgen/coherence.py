@@ -11,40 +11,15 @@ factor to vanish as well, so this is the continuous extension, and it keeps
 
 Every function here also accepts a stack of states, shape (..., d, d) (for
 :func:`surprisal_variance`, of distributions, shape (..., d)), and then
-returns one result per state: an array where one state gives a float, and
-for :func:`coherence_derivative` a report whose fields are arrays.  A
+returns one result per state: an array where one state gives a float.  A
 stacked call gives, bit for bit, what the calls on each state alone give.
 """
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian
 from .linalg import _unstack, hs_inner
 
 ZERO_DIAG_TOL = 1e-14
-
-# Diagonal entries below this are reported as boundary cases in
-# DerivativeReport: the analytic derivative formula assumes log₂ρ_ii exists,
-# and its value close to the boundary is dominated by near-singular logs.
-BOUNDARY_DIAG_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class DerivativeReport:
-    """Analytic instantaneous rate of change of coherence at t = 0, with the
-    smallest diagonal entry of the state it was evaluated at.
-
-    ``boundary`` is set when some diagonal entry of the state is below
-    ``BOUNDARY_DIAG_TOL``; the formula is still evaluated with the
-    zero-diagonal convention but loses its smooth-derivative interpretation
-    there.  For a stack of pairs, ``analytic``, ``min_diag`` and ``boundary``
-    are arrays with one entry per pair.
-    """
-
-    analytic: float
-    min_diag: float
-    boundary: bool
 
 
 def dephase(rho: np.ndarray) -> np.ndarray:
@@ -113,7 +88,7 @@ def coherence_commutator(rho: np.ndarray) -> np.ndarray:
     return m
 
 
-def coherence_derivative(hamiltonian, rho) -> DerivativeReport:
+def coherence_derivative(hamiltonian, rho) -> float:
     """Instantaneous rate of coherence generation i Tr(H [ρ, log₂ Δ(ρ)]).
 
     Parameters
@@ -125,8 +100,9 @@ def coherence_derivative(hamiltonian, rho) -> DerivativeReport:
 
     Returns
     -------
-    DerivativeReport
-        Signed rate in bits per unit time: coherence can also decrease.
+    float
+        Signed rate in bits per unit time: coherence can also decrease.  A
+        stack of pairs gives an array with one rate per pair.
 
     Raises
     ------
@@ -148,12 +124,7 @@ def coherence_derivative(hamiltonian, rho) -> DerivativeReport:
             f"rate has imaginary residue {residue[np.abs(residue).argmax()]:.3e}; "
             "the Hamiltonian is not Hermitian"
         )
-    min_diag = _unstack(rho.diagonal(axis1=-2, axis2=-1).real.min(axis=-1))
-    return DerivativeReport(
-        analytic=_unstack(val.real),
-        min_diag=min_diag,
-        boundary=min_diag < BOUNDARY_DIAG_TOL,
-    )
+    return _unstack(val.real)
 
 
 def surprisal_variance(p) -> float:

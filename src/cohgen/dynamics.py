@@ -4,54 +4,47 @@ The finite-difference derivative here is the independent check on the closed
 form in :func:`cohgen.coherence.coherence_derivative`: it knows nothing about
 commutators, only about evolving the state and differencing the coherence.
 
+:func:`entropy_derivative_check` returns the entropy rate -Tr[ρ̇ log₂ ρ] of
+the von Neumann equation, which vanishes for unitary dynamics.
+
 :func:`fd_derivative` and :func:`entropy_derivative_check` also accept
 stacks of pairs, ρ and H of one shape (..., d, d): every pair is validated
-and the results are arrays (report fields for the latter) with one entry per
-pair, bit for bit the single-pair results.  ``evolve`` and ``trajectory``
-take one pair.
+and the results are arrays with one entry per pair, bit for bit the
+single-pair results.  ``evolve`` and ``trajectory`` take one pair.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _entropy_bits, rel_entropy_coherence, von_neumann_entropy
+from .coherence import _entropy_bits, rel_entropy_coherence
 from .errors import DimensionMismatch, SingularState
 from .linalg import (
     _adjoint,
     _as_square_complex,
     _as_square_stack,
     _unstack,
+    _validate_hermitian_stack,
     eig_hermitian,
     validate_density,
 )
 
 # Matrix entries per block of the stacked conjugation in `trajectory`.  A
 # whole 2000-point grid at d = 32 in one block would hold several (2000, 32,
-# 32) complex temporaries at once; blocks keep them a fixed size instead.
-# The states stay in their per-block stacks too: copying them into one
-# (T, d, d) array raised the orbit_scan benchmark's peak RSS from 78 to 106 MB.
+# 32) complex temporaries at once; blocks keep them a fixed size instead, so
+# the working memory does not grow with the grid.
 _BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled unitary orbit: states with their coherence and entropy in bits."""
+    """Sampled unitary orbit: coherence and entropy in bits at each time."""
 
     times: np.ndarray
-    states: tuple
     coherence: np.ndarray
     entropy: np.ndarray
 
     def __len__(self):
         return len(self.times)
-
-
-@dataclass(frozen=True)
-class EntropyDerivativeReport:
-    """Two routes to d/dt S(ρ_t) at t = 0; both vanish for unitary dynamics."""
-
-    lhs: float  # central finite difference of the entropy
-    rhs: float  # -Tr[ρ̇ log₂ ρ] with ρ̇ = -i[H, ρ]
 
 
 def _check_shapes(rho, hamiltonian, as_square=_as_square_complex):
@@ -91,9 +84,9 @@ def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
     is recomputed from every sampled state, never copied from S(ρ), so it
     stays a check on the conjugation.  A block holds at most
     ``_BLOCK_ENTRIES`` matrix entries (about 0.5 MB of complex128 per
-    temporary), so the working memory beyond the returned states does not
-    grow with the grid.  ``states`` are read-only views into the block stacks.
-    ρ is validated once at entry, like in :func:`fd_derivative`.
+    temporary) and is dropped once its coherence and entropy are taken, so
+    the working memory does not grow with the grid.  ρ is validated once at
+    entry, like in :func:`fd_derivative`.
     """
     rho, hamiltonian = _check_shapes(rho, hamiltonian)
     rho = validate_density(rho)
@@ -106,7 +99,6 @@ def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
     rho_eig = vec.conj().T @ rho @ vec
     d = rho.shape[0]
     block = max(1, _BLOCK_ENTRIES // (d * d))
-    states = []
     ent = np.empty(t_grid.size)
     s_diag = np.empty(t_grid.size)
     for start in range(0, t_grid.size, block):
@@ -114,65 +106,45 @@ def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
         w = vec * np.exp(-1j * lam * t_grid[part, None])[:, None, :]
         rho_t = w @ rho_eig @ w.conj().swapaxes(-1, -2)
         rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2
-        rho_t.setflags(write=False)
-        states.extend(rho_t)
         ent[part] = _entropy_bits(np.linalg.eigvalsh(rho_t))
         s_diag[part] = _entropy_bits(rho_t.diagonal(axis1=-2, axis2=-1).real)
     coh = np.maximum(s_diag - ent, 0.0) + 0.0
-    return Trajectory(times=t_grid, states=tuple(states), coherence=coh, entropy=ent)
+    return Trajectory(times=t_grid, coherence=coh, entropy=ent)
 
 
-def _validate_step(h: float):
-    if not 0.0 < h <= 0.1:
-        raise ValueError(f"finite-difference step must lie in (0, 0.1], got {h}")
-
-
-def fd_derivative(rho, hamiltonian, h: float, richardson: bool = False) -> float:
+def fd_derivative(rho, hamiltonian, h: float) -> float:
     """Central-difference estimate of d/dt C_r(ρ_t) at t = 0.
 
-    With ``richardson=True`` the h and h/2 estimates are combined,
-    ``(4 D(h/2) - D(h))/3``, cancelling the leading O(h²) truncation term.
     H is diagonalized and ρ validated once; each orbit point then costs
     two matrix products and the coherence's eigensolve.  A stack of pairs
     gives an array of estimates.
     """
-    _validate_step(h)
+    if not 0.0 < h <= 0.1:
+        raise ValueError(f"finite-difference step must lie in (0, 0.1], got {h}")
     rho, hamiltonian = _check_shapes(rho, hamiltonian, _as_square_stack)
     lam, vec = eig_hermitian(hamiltonian)
     rho = validate_density(rho)
-
-    def central(step):
-        plus = rel_entropy_coherence(_rotate(rho, lam, vec, step))
-        minus = rel_entropy_coherence(_rotate(rho, lam, vec, -step))
-        return (plus - minus) / (2 * step)
-
-    if richardson:
-        return (4 * central(h / 2) - central(h)) / 3
-    return central(h)
+    plus = rel_entropy_coherence(_rotate(rho, lam, vec, h))
+    minus = rel_entropy_coherence(_rotate(rho, lam, vec, -h))
+    return (plus - minus) / (2 * h)
 
 
-def entropy_derivative_check(rho, hamiltonian, h: float) -> EntropyDerivativeReport:
-    """Compare two routes to d/dt S(ρ_t) at t = 0 for full-rank ρ.
+def entropy_derivative_check(rho, hamiltonian) -> float:
+    """Entropy rate d/dt S(ρ_t) = -Tr[ρ̇ log₂ ρ] at t = 0 for full-rank ρ.
 
-    ``lhs`` differences the entropy along the orbit; ``rhs`` evaluates
-    -Tr[ρ̇ log₂ ρ] with ρ̇ = -i[H, ρ] from the von Neumann equation.  Since ρ
-    commutes with log₂ ρ, both vanish analytically — the check quantifies how
-    well the numerics reproduce that.  A stack of pairs gives a report of
-    arrays; every state of it must be full rank.
+    ρ̇ = -i[H, ρ] comes from the von Neumann equation.  Since ρ commutes with
+    log₂ ρ, the rate vanishes analytically — the value quantifies how well
+    the numerics reproduce that.  A stack of pairs gives an array of rates;
+    every state of it must be full rank.
     """
     rho, hamiltonian = _check_shapes(rho, hamiltonian, _as_square_stack)
-    _validate_step(h)
     lam, vec = np.linalg.eigh(rho)
     if lam.min() < 1e-10:
         raise SingularState(
             f"state eigenvalue {lam.min():.3e} below 1e-10; log₂ρ is not finite"
         )
-    h_lam, h_vec = eig_hermitian(hamiltonian)
+    _validate_hermitian_stack(hamiltonian)
     validate_density(rho)
-    s_plus = von_neumann_entropy(_rotate(rho, h_lam, h_vec, h))
-    s_minus = von_neumann_entropy(_rotate(rho, h_lam, h_vec, -h))
-    lhs = (s_plus - s_minus) / (2 * h)
     log_rho = (vec * np.log2(lam)[..., None, :]) @ _adjoint(vec)
     rho_dot = -1j * (hamiltonian @ rho - rho @ hamiltonian)
-    rhs = -np.trace(rho_dot @ log_rho, axis1=-2, axis2=-1).real
-    return EntropyDerivativeReport(lhs=lhs, rhs=_unstack(rhs))
+    return _unstack(-np.trace(rho_dot @ log_rho, axis1=-2, axis2=-1).real)

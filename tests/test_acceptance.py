@@ -62,7 +62,7 @@ def test_acceptance_bound_equality_d2_to_d6():
         fam = max_surprisal_variance(d)
         psi = optimal_state(d, fam.gamma)
         sigma = np.outer(psi, psi.conj())
-        rate = coherence_derivative(holder_hamiltonian(sigma), sigma).analytic
+        rate = coherence_derivative(holder_hamiltonian(sigma), sigma)
         worst = max(worst, abs(rate - fam.capacity_bound))
         assert abs(rate - fam.capacity_bound) <= 1e-8
     elapsed = time.perf_counter() - t0
@@ -81,7 +81,7 @@ def test_acceptance_bound_is_never_exceeded():
         for k in range(10_000):
             h = random_hermitian(d, rng, hs_normalized=True)
             rho = random_density(d, rng, rank=1 if k % 2 else None)
-            rate = coherence_derivative(h, rho).analytic
+            rate = coherence_derivative(h, rho)
             worst = max(worst, rate)
             assert rate <= bound + 1e-9
     # alternating refinement: re-match H to the state, re-optimize the state
@@ -110,7 +110,7 @@ def test_acceptance_derivative_formula():
         for _ in range(200):
             rho = random_density(d, rng, mix=0.1)
             ham = random_hermitian(d, rng)
-            exact = coherence_derivative(ham, rho).analytic
+            exact = coherence_derivative(ham, rho)
             for h in steps:
                 residuals[h].append(abs(fd_derivative(rho, ham, h) - exact))
     assert max(residuals[1e-4]) <= 1e-6
@@ -165,7 +165,7 @@ def test_acceptance_entropy_invariance():
         d = int(rng.integers(2, 6))
         rho = random_density(d, rng, mix=0.3)
         h = random_hermitian(d, rng)
-        assert abs(entropy_derivative_check(rho, h, 1e-4).rhs) <= 1e-10
+        assert abs(entropy_derivative_check(rho, h)) <= 1e-10
     _ok("entropy constant along orbits; analytic entropy rate 0")
 
 
@@ -181,7 +181,7 @@ def test_acceptance_holder_saturation():
         if m < 1e-12:
             continue
         n += 1
-        rate = coherence_derivative(holder_hamiltonian(rho), rho).analytic
+        rate = coherence_derivative(holder_hamiltonian(rho), rho)
         worst = max(worst, abs(rate - m))
         assert abs(rate - m) <= 1e-9
     _ok(f"saturation on 1000 states, worst {worst:.2e}")

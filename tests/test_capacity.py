@@ -38,6 +38,7 @@ from cohgen.capacity import (
     _branch_peak,
     _family_f,
     _family_log_ratio,
+    _pure_value_and_grad,
     _rho_from_factor,
 )
 from refvals import (
@@ -179,6 +180,24 @@ def test_dimension_below_two_is_a_dimension_mismatch(d):
         capacity_numeric(np.zeros((max(d, 0), max(d, 0))))
 
 
+@pytest.mark.parametrize("d", [2.5, 3.0, True, "3"])
+def test_non_integer_dimension_is_a_dimension_mismatch(d):
+    # capacity_numeric reads d from a matrix shape, so it cannot be handed one
+    with pytest.raises(DimensionMismatch):
+        max_surprisal_variance(d)
+    with pytest.raises(DimensionMismatch):
+        optimal_state(d, 0.3)
+    with pytest.raises(DimensionMismatch):
+        optimal_hamiltonian(d)
+
+
+def test_numpy_integer_dimensions_are_integers():
+    d = np.int64(3)
+    assert max_surprisal_variance(d) == max_surprisal_variance(3)
+    assert optimal_state(d, 0.3).tobytes() == optimal_state(3, 0.3).tobytes()
+    assert optimal_hamiltonian(d).tobytes() == optimal_hamiltonian(3).tobytes()
+
+
 # ------------------------------------------------- optimal states/Hamiltonians
 
 def test_optimal_state_amplitudes():
@@ -215,7 +234,7 @@ def test_holder_hamiltonian_saturates():
             continue
         h = holder_hamiltonian(rho)
         assert abs(hs_norm(h) - 1.0) < 1e-13
-        rate = coherence_derivative(h, rho).analytic
+        rate = coherence_derivative(h, rho)
         assert abs(rate - hs_norm(m)) < 1e-9
 
 
@@ -239,7 +258,7 @@ def test_sign_of_literal_pairing():
         g = max_surprisal_variance(d).gamma
         psi = optimal_state(d, g)
         rho = np.outer(psi, psi.conj())
-        rate = coherence_derivative(optimal_hamiltonian(d), rho).analytic
+        rate = coherence_derivative(optimal_hamiltonian(d), rho)
         if d == 2:
             assert abs(rate - BOUND[2]) < 1e-12
         else:
@@ -247,7 +266,7 @@ def test_sign_of_literal_pairing():
             flipped = psi.copy()
             flipped[0] = -flipped[0]
             rho_f = np.outer(flipped, flipped.conj())
-            rate_f = coherence_derivative(optimal_hamiltonian(d), rho_f).analytic
+            rate_f = coherence_derivative(optimal_hamiltonian(d), rho_f)
             assert abs(rate_f - BOUND[d]) < 1e-12
 
 
@@ -265,7 +284,7 @@ def test_qubit_canonical_coupling():
     assert abs(res.value - BOUND[2]) < 1e-13
     assert abs(res.argmax_state[0, 0].real - X_STAR) < 1e-9
     # reported argmax actually achieves the reported value
-    rate = coherence_derivative(SY / np.sqrt(2), res.argmax_state).analytic
+    rate = coherence_derivative(SY / np.sqrt(2), res.argmax_state)
     assert abs(rate - res.value) < 1e-12
 
 
@@ -285,7 +304,7 @@ def test_qubit_phase_and_diagonal_covariance():
         h = np.array([[a, off], [np.conj(off), b]])
         res = capacity_qubit(h)
         assert abs(res.value - base.value) < 1e-12
-        rate = coherence_derivative(h, res.argmax_state).analytic
+        rate = coherence_derivative(h, res.argmax_state)
         assert abs(rate - res.value) < 1e-12
 
 
@@ -314,6 +333,27 @@ def test_qubit_argmax_is_valid_state():
 
 # ------------------------------------------------------------- numeric ascent
 
+def test_pure_gradient_matches_central_differences():
+    # g is the projected Wirtinger gradient ∂J/∂ψ̄, so along a tangent δ
+    # (⟨ψ, δ⟩ = 0) the rate moves at dJ/dε = 2 Re⟨g, δ⟩, at most 2‖g‖‖δ‖
+    rng = np.random.default_rng(61)
+    eps = 1e-5
+    for _ in range(20):
+        h = random_hermitian(6, rng, hs_normalized=True)
+        psi = random_pure_state(6, rng)
+        delta = random_pure_state(6, rng)
+        delta -= np.vdot(psi, delta) * psi
+
+        def rate(x):
+            return _pure_value_and_grad(h, (x / np.linalg.norm(x))[None])[0][0]
+
+        grad = _pure_value_and_grad(h, psi[None])[1][0]
+        exact = 2.0 * np.vdot(grad, delta).real
+        central = (rate(psi + eps * delta) - rate(psi - eps * delta)) / (2 * eps)
+        scale = 2.0 * np.linalg.norm(grad) * np.linalg.norm(delta)
+        assert abs(central - exact) <= 1e-6 * scale, (central, exact)
+
+
 def test_numeric_matches_closed_form():
     rng = np.random.default_rng(100)
     for k in range(10):
@@ -332,7 +372,7 @@ def test_numeric_reaches_bound_on_canonical_hamiltonians():
         assert res.converged
         assert abs(res.value - BOUND[d]) < 1e-8
         validate_density(res.argmax_state)
-        rate = coherence_derivative(optimal_hamiltonian(d), res.argmax_state).analytic
+        rate = coherence_derivative(optimal_hamiltonian(d), res.argmax_state)
         assert abs(rate - res.value) < 1e-9
 
 
@@ -593,6 +633,9 @@ def test_solver_config_validation():
         # counts are integers: no 2.5 restarts, no 2.5 accepted steps
         SolverConfig(restarts=2.5),
         SolverConfig(max_iters=2.5),
+        # bool is an Integral, but True restarts is not a count
+        SolverConfig(restarts=True),
+        SolverConfig(max_iters=True),
     ):
         with pytest.raises(ValueError):
             capacity_numeric(h, bad)

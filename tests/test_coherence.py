@@ -119,8 +119,8 @@ def test_commutator_masks_zero_diagonal_without_nan():
 def test_derivative_zero_for_stationary_states():
     rng = np.random.default_rng(2)
     h = random_hermitian(2, rng)
-    assert coherence_derivative(h, np.diag([0.2, 0.8])).analytic == 0.0
-    assert abs(coherence_derivative(h, PLUS).analytic) < 1e-13
+    assert coherence_derivative(h, np.diag([0.2, 0.8])) == 0.0
+    assert abs(coherence_derivative(h, PLUS)) < 1e-13
 
 
 def test_derivative_qubit_closed_form():
@@ -128,15 +128,8 @@ def test_derivative_qubit_closed_form():
     # carries off-diagonal phase -pi (a plain sign flip)
     h = np.array([[0, -1j], [1j, 0]]) / np.sqrt(2)
     psi = np.array([np.sqrt(0.083), -np.sqrt(0.917)])
-    rep = coherence_derivative(h, np.outer(psi, psi.conj()))
-    assert abs(rep.analytic - RATE_083) < 1e-13
-    assert rep.boundary is False
-
-
-def test_derivative_flags_boundary_states():
-    psi = np.array([1.0, 0.0])
-    rep = coherence_derivative(np.eye(2), np.outer(psi, psi))
-    assert rep.boundary is True
+    rate = coherence_derivative(h, np.outer(psi, psi.conj()))
+    assert abs(rate - RATE_083) < 1e-13
 
 
 def test_derivative_rejects_non_hermitian_under_optimize():
@@ -170,7 +163,7 @@ def test_derivative_obeys_pairing_bound():
         d = int(rng.integers(2, 7))
         rho = random_density(d, rng)
         h = random_hermitian(d, rng)
-        lhs = coherence_derivative(h, rho).analytic
+        lhs = coherence_derivative(h, rho)
         assert lhs <= hs_norm(h) * hs_norm(coherence_commutator(rho)) + 1e-10
 
 
@@ -271,9 +264,7 @@ def test_stacks_give_the_single_state_bits(d):
         "entropy": (von_neumann_entropy, rho),
         "norm": (hs_norm, h),
         "holder": (holder_hamiltonian, rho),
-        "rate": (lambda *a: coherence_derivative(*a).analytic, h, rho),
-        "min_diag": (lambda *a: coherence_derivative(*a).min_diag, h, rho),
-        "boundary": (lambda *a: coherence_derivative(*a).boundary, h, rho),
+        "rate": (coherence_derivative, h, rho),
         "inner": (hs_inner, h, rho),
         "validated": (validate_density, rho),
         "eigenvalues": (lambda m: eig_hermitian(m)[0], h),

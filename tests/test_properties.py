@@ -40,7 +40,7 @@ def test_capacity_numeric_properties(h, k):
     # Hölder: the rate is Tr(H M) with ‖M‖₂ ≤ sqrt(2 f_max(d))
     holder = hs_norm(h) * max_surprisal_variance(d).capacity_bound
     assert 0.0 <= res.value <= holder + 1e-9
-    assert abs(coherence_derivative(h, res.argmax_state).analytic - res.value) <= 1e-9
+    assert abs(coherence_derivative(h, res.argmax_state) - res.value) <= 1e-9
     # Capacity is homogeneous of degree one in H.  Scaling H by c = 2**k
     # together with step_init by 1/c and grad_tol by c makes every candidate
     # the same point, so the solver must return exactly c times the value.

@@ -45,3 +45,49 @@ def test_package_count_sums_its_modules(tmp_path):
     (tmp_path / "b.py").write_text("x = 1\n")
     (tmp_path / "notes.txt").write_text("x = 1\n")
     assert tool.count_package(str(tmp_path)) == {"a": 7, "b": 1, "total": 8}
+
+
+API_MODULE = '''
+import dataclasses
+import enum
+
+__all__ = ["Color", "Failure", "Point", "scale"]
+
+
+@dataclasses.dataclass(frozen=True)
+class Point:
+    x: float
+    y: float = 0.0
+
+
+class Color(enum.Enum):
+    RED = "red"
+    BLUE = "blue"
+
+
+class Failure(ValueError):
+    pass
+
+
+def scale(p: Point, k: float = 2.0) -> Point:
+    return Point(k * p.x, k * p.y)
+
+
+def hidden():
+    pass
+'''
+
+
+def test_api_table_lists_fields_members_bases_and_signatures(tmp_path):
+    tool = _load_tool()
+    path = tmp_path / "api_module.py"
+    path.write_text(API_MODULE)
+    spec = importlib.util.spec_from_file_location("api_module", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert tool.api_table(module) == {
+        "Color": ["RED", "BLUE"],
+        "Failure": "class(ValueError)",
+        "Point": ["x", "y"],
+        "scale": "(p: api_module.Point, k: float = 2.0) -> api_module.Point",
+    }

@@ -150,20 +150,20 @@ def reference_fd_vs_analytic(d, n, rng):
     for _ in range(n):
         rho = random_density(d, rng, mix=0.2)
         h = random_hermitian(d, rng, hs_normalized=True)
-        analytic = coherence_derivative(h, rho).analytic
+        analytic = coherence_derivative(h, rho)
         yield abs(fd_derivative(rho, h, 1e-4) - analytic)
 
 
 def reference_entropy_rate_identity(d, n, rng):
     for _ in range(n):
         rho = random_density(d, rng, mix=0.2)
-        yield abs(entropy_derivative_check(rho, random_hermitian(d, rng), 1e-3).rhs)
+        yield abs(entropy_derivative_check(rho, random_hermitian(d, rng)))
 
 
 def reference_holder_saturation(d, n, rng):
     for _ in range(n):
         rho = random_density(d, rng, mix=0.05)
-        rate = coherence_derivative(holder_hamiltonian(rho), rho).analytic
+        rate = coherence_derivative(holder_hamiltonian(rho), rho)
         yield abs(rate - hs_norm(coherence_commutator(rho)))
 
 
@@ -171,7 +171,7 @@ def reference_bound_certificate(d, n, rng):
     bound = max_surprisal_variance(d).capacity_bound
     for _ in range(n):
         h = random_hermitian(d, rng, hs_normalized=True)
-        yield coherence_derivative(h, random_density(d, rng)).analytic - bound
+        yield coherence_derivative(h, random_density(d, rng)) - bound
 
 
 REFERENCE = {

@@ -3,11 +3,14 @@
     python tools/refactor_report.py SRC OUT.json
 
 SRC is the root of a checkout (it holds ``src/cohgen`` and
-``perfbench/workloads.py``).  OUT.json gets two tables:
+``perfbench/workloads.py``).  OUT.json gets three tables:
 
 - ``code_lines``: per module of ``SRC/src/cohgen``, the lines that hold
   code, counted with ``tokenize`` after ``ast`` has marked the docstrings;
   comments, blank lines and docstrings do not count.  ``total`` sums them.
+- ``api``: each name in ``cohgen.__all__`` with the field names of a
+  dataclass, the members of an enum, the base classes of another class or
+  the ``inspect.signature`` of a function.
 - ``outputs``: one SHA-256 per standard CLI run, over its exit code, its
   stdout and every file it writes (stderr is left out: ``verify`` writes
   wall times there).  The runs are ``verify fast --seed 0..49``, ``verify
@@ -19,13 +22,17 @@ SRC is the root of a checkout (it holds ``src/cohgen`` and
 
 A refactor that keeps every output runs this on its parent checkout and on
 itself and compares the two files: ``diff`` shows only the line counts that
-moved.  The runs share one process, with SRC's cohgen imported and BLAS on
-one thread as in the benchmark.
+moved and the public names that changed.  The runs share one process, with
+SRC's cohgen imported and BLAS on one thread as in the benchmark.
 """
 import ast
 import contextlib
+import dataclasses
+import enum
 import hashlib
+import importlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -69,6 +76,31 @@ def count_package(package_dir: str) -> dict:
     return counts
 
 
+def api_table(module) -> dict:
+    """What each name of ``module.__all__`` offers a caller, as JSON values."""
+    table = {}
+    for name in sorted(module.__all__):
+        obj = getattr(module, name)
+        if dataclasses.is_dataclass(obj):
+            table[name] = [field.name for field in dataclasses.fields(obj)]
+        elif isinstance(obj, type) and issubclass(obj, enum.Enum):
+            table[name] = [member.name for member in obj]
+        elif isinstance(obj, type):
+            table[name] = f"class({', '.join(base.__name__ for base in obj.__bases__)})"
+        else:
+            table[name] = str(inspect.signature(obj))
+    return table
+
+
+def _import_cohgen(root: str):
+    """The cohgen package of ``root/src``, refusing any other copy."""
+    sys.path.insert(0, os.path.join(root, "src"))
+    cohgen = importlib.import_module("cohgen")
+    if not os.path.abspath(cohgen.__file__).startswith(os.path.abspath(root) + os.sep):
+        raise RuntimeError(f"imported {cohgen.__file__}, not the cohgen of {root}")
+    return cohgen
+
+
 def _load(path: str, name: str):
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
@@ -108,11 +140,9 @@ def _requests(workloads, workdir: str):
 
 def hash_outputs(root: str) -> dict:
     """SHA-256 of every standard run of the CLI imported from ``root/src``."""
-    sys.path.insert(0, os.path.join(root, "src"))
+    _import_cohgen(root)
     from cohgen import cli
 
-    if not os.path.abspath(cli.__file__).startswith(os.path.abspath(root) + os.sep):
-        raise RuntimeError(f"imported {cli.__file__}, not the cohgen of {root}")
     workloads = _load(os.path.join(root, "perfbench", "workloads.py"), "refactor_workloads")
     hashes = {}
     with tempfile.TemporaryDirectory() as workdir:
@@ -149,6 +179,7 @@ def main(argv=None) -> int:
         os.environ.setdefault(var, "1")  # as the benchmark runs; set before numpy loads
     report = {
         "code_lines": count_package(os.path.join(root, "src", "cohgen")),
+        "api": api_table(_import_cohgen(root)),
         "outputs": hash_outputs(root),
     }
     with open(out, "w", encoding="utf-8") as fh:
