@@ -495,10 +495,15 @@ def simplex_grid_oracle(d: int, resolution: int) -> GridSearchResult:
     returns the grid maximizer, the first of equal maxima.  Deliberately
     brute-force: this is the oracle the tests use to cross-examine the
     two-level-family claim, so it must not share machinery with
-    :func:`max_surprisal_variance`.
+    :func:`max_surprisal_variance`.  A non-integer d raises
+    ``DimensionMismatch``; a non-integer or ``bool`` resolution raises
+    ``ValueError``.
     """
+    _check_dim(d)
     if d not in (2, 3):
         raise ValueError(f"grid oracle supports d in {{2, 3}}, got {d}")
+    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
+        raise ValueError(f"resolution must be an integer, got {resolution!r}")
     if resolution > 400:
         raise ResolutionTooLarge(f"resolution {resolution} exceeds the cap of 400")
     if resolution < 1:

@@ -10,7 +10,9 @@ stdout carries a short human summary; machine-readable output goes only to
 ``--out`` / ``--summary-out`` files, written with 17-significant-digit
 numbers so identical invocations produce byte-identical files.  ``verify``
 also writes each check's wall time to stderr, one ``name: X ms`` line per
-check in report order; timings never reach stdout or a report.
+check in report order; timings never reach stdout or a report.  A NaN or
+infinite residual is written as null, since JSON has neither; a NaN one has
+failed its check.
 
 Exit codes: 0 success, 1 verification failure, 2 input/parse error,
 3 solver non-convergence.
@@ -215,12 +217,15 @@ def cmd_verify(args) -> int:
     print(f"{'all checks passed' if all_passed else 'CHECKS FAILED'} "
           f"[{args.level}, seed {args.seed}]")
     if args.out:
+        checks = [dataclasses.asdict(r) for r in results]
+        for check in checks:  # JSON has no NaN or infinity: such a residual is written as null
+            check["residual"] = check["residual"] if np.isfinite(check["residual"]) else None
         payload = {
             "command": "verify",
             "level": args.level,
             "seed": args.seed,
             "passed": all_passed,
-            "checks": [dataclasses.asdict(r) for r in results],
+            "checks": checks,
         }
         _write_text(args.out, dumps_17(payload))
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED

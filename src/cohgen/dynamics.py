@@ -74,7 +74,8 @@ def evolve(rho, hamiltonian, t: float) -> np.ndarray:
 
 
 def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
-    """Sample the orbit t ↦ e^{-iHt} ρ e^{iHt} on an ascending time grid.
+    """Sample the orbit t ↦ e^{-iHt} ρ e^{iHt} on a finite, strictly
+    ascending time grid.
 
     H is diagonalized once.  The grid is then taken in blocks: each block is
     one stacked conjugation W ρ' W† with W = V diag(e^{-iλt}) and ρ' = V†ρV,
@@ -93,6 +94,8 @@ def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
     t_grid = np.asarray(t_grid, dtype=np.float64).reshape(-1)
     if t_grid.size == 0:
         raise ValueError("time grid is empty")
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("time grid must be finite")
     if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0):
         raise ValueError("time grid must be strictly ascending")
     lam, vec = eig_hermitian(hamiltonian)

@@ -8,6 +8,8 @@ cannot be mutated behind the caller's back.
 ``validate_density``, ``eig_hermitian``, ``hs_norm`` and ``hs_inner`` also
 accept a stack of matrices, shape (..., d, d), and then check or return one
 result per matrix, bit for bit what a call on each matrix alone gives.
+``hs_norm`` and ``hs_inner`` do it with one batched product over the
+matrices flattened to rows, shape (..., 1, d²), not a loop over matrices.
 ``validate_hermitian`` takes one matrix, because the solver's entry points
 rely on it to reject anything else; ``_validate_hermitian_stack`` is its
 stacked form.
@@ -174,27 +176,33 @@ def unitary_exp(h, t: float) -> np.ndarray:
     return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
 
 
+def _rows(m: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack flattened to one row, shape (..., 1, d²)."""
+    return m.reshape(*m.shape[:-2], 1, m.shape[-1] ** 2)
+
+
 def hs_norm(m):
     """Hilbert-Schmidt (Frobenius) norm sqrt(Tr[m† m]): a float for one
     matrix, an array for a stack.
 
-    Each matrix goes through ``np.linalg.norm`` on its own: a stacked
-    reduction sums in another order and moves the last bit.
+    One batched product over the rows, sqrt(re·reᵀ + im·imᵀ), which is the
+    sum ``np.linalg.norm`` forms for a complex matrix.  The sum runs in row
+    order whatever the memory layout, so the norm depends only on the
+    entries; ``np.linalg.norm`` sums a column-major matrix in memory order
+    and can differ from it there in the last bit.
     """
-    m = _as_square_stack(m)
-    flat = m.reshape(-1, *m.shape[-2:])
-    norms = np.array([np.linalg.norm(x) for x in flat]).reshape(m.shape[:-2])
-    return _unstack(norms)
+    rows = _rows(_as_square_stack(m))
+    re, im = rows.real, rows.imag
+    squares = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return _unstack(np.sqrt(squares)[..., 0, 0])
 
 
 def hs_inner(a, b):
     """Hilbert-Schmidt inner product Tr(a† b): a complex for one pair of
-    matrices, an array for a stack, each pair through ``np.vdot``."""
+    matrices, an array for a stack; one batched product conj(a)·bᵀ over
+    the rows, the sum ``np.vdot`` forms."""
     a = _as_square_stack(a)
     b = _as_square_stack(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    d = a.shape[-1]
-    pairs = zip(a.reshape(-1, d, d), b.reshape(-1, d, d))
-    products = np.array([np.vdot(x, y) for x, y in pairs]).reshape(a.shape[:-2])
-    return _unstack(products)
+    return _unstack((_rows(a).conj() @ _rows(b).swapaxes(-1, -2))[..., 0, 0])

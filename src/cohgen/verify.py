@@ -2,9 +2,12 @@
 
 Each check pits two independently computed quantities against each other
 (closed form vs finite difference, matrix form vs probability form, search
-vs exhaustive grid) and reports the worst residual seen.  ``fast`` keeps
-sample counts small enough for interactive use; ``full`` runs the counts the
-acceptance tests use.
+vs exhaustive grid) and reports the largest residual seen.  One rule,
+:func:`_verdict`, turns the residuals of every check into its verdict: the
+check passes when the largest residual is at most its tolerance, and a NaN
+residual is the largest, so it fails.  ``fast`` keeps sample counts small
+enough for interactive use; ``full`` runs the counts the acceptance tests
+use.
 
 A sampled check is declared with :func:`_sampled`: its report name, its
 tolerance, its (fast, full) sample counts per dimension, the dimensions it
@@ -16,7 +19,7 @@ stream, pass the stacks to the library's stacked functions in one call each
 and ``yield from`` the n residuals; ``entropy_constant_along_orbit`` and
 ``qubit_cross_method`` loop over samples.  The two checks without a sample
 loop (``capacity_bound_equality`` and ``simplex_grid_oracle``) are written
-out.
+out and hand their residuals to :func:`_verdict` too.
 
 Checks draw from per-check seeded generators, so a report is a pure function
 of (level, seed).  The check names, their order and their count are what the
@@ -71,25 +74,28 @@ def _rng_for(seed: int, index: int):
     return np.random.default_rng([seed, index])
 
 
-def _sampled(name, tolerance, counts, dims, detail, worst=0.0):
+def _verdict(name, tolerance, residuals, detail) -> CheckResult:
+    """The one rule of every check: its residual is the largest of
+    ``residuals``, and it passes when that is at most ``tolerance``.  A NaN
+    is the largest, so a NaN residual fails."""
+    largest = float(np.max(residuals))
+    return CheckResult(name, bool(largest <= tolerance), tolerance, largest, detail)
+
+
+def _sampled(name, tolerance, counts, dims, detail):
     """Make ``residuals(d, n, rng)`` a check ``fn(level, rng) -> CheckResult``.
 
     ``counts`` is the (fast, full) number of samples per dimension and
-    ``detail`` is formatted with that ``n``.  The residual is the largest
-    one yielded over ``dims`` in turn, starting from ``worst`` (``-inf``
-    for a signed residual); the check passes when it is at most
-    ``tolerance``.  The generator stays reachable as ``check.residuals``.
+    ``detail`` is formatted with that ``n``.  Every residual yielded over
+    ``dims`` in turn goes to :func:`_verdict`.  The generator stays
+    reachable as ``check.residuals``.
     """
 
     def decorate(residuals):
         def check(level: str, rng) -> CheckResult:
             n = counts[level == "full"]
-            largest = worst
-            for d in dims:
-                for residual in residuals(d, n, rng):
-                    largest = max(largest, residual)
-            return CheckResult(name, bool(largest <= tolerance), tolerance,
-                               float(largest), detail.format(n=n))
+            found = [r for d in dims for r in residuals(d, n, rng)]
+            return _verdict(name, tolerance, found, detail.format(n=n))
 
         check.__name__, check.__doc__ = residuals.__name__, residuals.__doc__
         check.residuals = residuals
@@ -165,24 +171,13 @@ def check_holder_saturation(d, n, rng):
 def check_bound_equality(level: str, rng) -> CheckResult:
     """Best rate over unit-norm Hamiltonians equals sqrt(2 f_max) at the
     optimal state, for dimensions 2..6."""
-    worst = 0.0
-    gaps = []
-    for d in range(2, 7):
-        report = capacity_bound_equality(d)
-        gaps.append(f"d={d}:{report.gap:.2e}")
-        worst = max(worst, report.gap)
-    return CheckResult(
-        name="capacity_bound_equality",
-        passed=worst <= 1e-8,
-        tolerance=1e-8,
-        residual=worst,
-        detail=" ".join(gaps),
-    )
+    gaps = {d: capacity_bound_equality(d).gap for d in range(2, 7)}
+    detail = " ".join(f"d={d}:{gap:.2e}" for d, gap in gaps.items())
+    return _verdict("capacity_bound_equality", 1e-8, list(gaps.values()), detail)
 
 
 @_sampled("capacity_bound_certificate", 1e-9, (300, 2000), (2, 3, 4),
-          "{n} random pairs per dimension 2..4; residual = worst rate - bound",
-          worst=-np.inf)
+          "{n} random pairs per dimension 2..4; residual = worst rate - bound")
 def check_bound_certificate(d, n, rng):
     """No random (H, ρ) pair with ‖H‖₂ = 1 beats the capacity bound."""
     bound = max_surprisal_variance(d).capacity_bound
@@ -207,21 +202,12 @@ def check_qubit_cross_method(d, n, rng):
 
 def check_grid_oracle(level: str, rng) -> CheckResult:
     """Exhaustive simplex grids never beat the two-level family maximum."""
-    worst = -np.inf
-    details = []
+    overshoots, details = [], []
     for d, resolution in ((2, 400), (3, 150)):
         family = max_surprisal_variance(d)
-        grid = simplex_grid_oracle(d, resolution)
-        overshoot = grid.f_best - family.f_max
-        worst = max(worst, overshoot)
-        details.append(f"d={d}@{resolution}: grid-family={overshoot:.2e}")
-    return CheckResult(
-        name="simplex_grid_oracle",
-        passed=worst <= 1e-12,
-        tolerance=1e-12,
-        residual=float(worst),
-        detail="; ".join(details),
-    )
+        overshoots.append(simplex_grid_oracle(d, resolution).f_best - family.f_max)
+        details.append(f"d={d}@{resolution}: grid-family={overshoots[-1]:.2e}")
+    return _verdict("simplex_grid_oracle", 1e-12, overshoots, "; ".join(details))
 
 
 _CHECKS = [

@@ -685,3 +685,10 @@ def test_grid_oracle_limits():
         simplex_grid_oracle(5, 10)
     with pytest.raises(ValueError):
         simplex_grid_oracle(2, 0)
+    # typed errors, not numpy's TypeError; True is not resolution 1
+    for d in (2.0, 2.5, True, "3"):
+        with pytest.raises(DimensionMismatch):
+            simplex_grid_oracle(d, 10)
+    for resolution in (2.5, math.nan, True, 10.0, "10"):
+        with pytest.raises(ValueError, match="integer"):
+            simplex_grid_oracle(3, resolution)

@@ -8,6 +8,7 @@ import pytest
 
 import cohgen.capacity
 import cohgen.cli
+import cohgen.verify
 from cohgen import (
     ConvergenceFailure,
     NoConvergence,
@@ -298,6 +299,29 @@ def test_verify_catches_log_base_mutation(tmp_path, monkeypatch, capsys):
     # each rhs is scaled by ln2, so the worst gap is bound(6)*(1 - ln2)
     expect = BOUND[6] * (1 - math.log(2))
     assert abs(resid - expect) < 1e-6
+
+
+def test_verify_writes_a_nan_residual_as_null(tmp_path, monkeypatch, capsys):
+    # one NaN rate per stack fails three checks; the report is still written
+    original = cohgen.verify.coherence_derivative
+
+    def first_rate_nan(*args):
+        rate = np.array(original(*args))
+        rate.flat[0] = math.nan
+        return rate
+
+    monkeypatch.setattr(cohgen.verify, "coherence_derivative", first_rate_nan)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "fast", "--out", str(out)]) == 1
+    stdout = capsys.readouterr().out
+    rep = json.loads(out.read_text())
+    nan_checks = {"fd_vs_analytic_rate", "holder_saturation", "capacity_bound_certificate"}
+    assert rep["passed"] is False
+    for c in rep["checks"]:
+        assert (c["residual"] is None) == (c["name"] in nan_checks) == (not c["passed"])
+        if c["residual"] is None:
+            assert f"FAIL {c['name']}: residual nan (tolerance" in stdout
+    assert "CHECKS FAILED [fast, seed 0]" in stdout
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -1,4 +1,5 @@
 import functools
+import math
 import re
 import tracemalloc
 
@@ -104,6 +105,14 @@ def test_trajectory_grid_must_ascend():
         trajectory(rho, h, np.array([]))
     with pytest.raises(ValueError):
         trajectory(rho, h, np.array([0.0, 1.0, 0.5]))
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [0.0, math.inf], [-math.inf, 0.0]])
+def test_trajectory_grid_must_be_finite(grid):
+    # like evolve's t; unchecked, a NaN point reads as coherence 0 and entropy 0
+    rho = np.array([[0.8, 0.3], [0.3, 0.2]])
+    with pytest.raises(ValueError, match="finite"):
+        trajectory(rho, np.array([[0.0, 1.0], [1.0, 0.0]]), grid)
 
 
 def _reference_trajectory(rho, h, grid):

@@ -15,6 +15,7 @@ from cohgen import (
     validate_hermitian,
     validate_pure_state,
 )
+from cohgen.sampling import ginibre_stack
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -181,10 +182,23 @@ def test_hs_norm_and_inner_are_numpys_to_the_bit():
     # reports print these with 17 digits, so a stacked reduction that sums
     # in another order would show; a stack gives each matrix's own value
     rng = np.random.default_rng(14)
-    for d in (2, 3, 5, 8, 32):
+    for d in (1, 2, 3, 5, 8, 32, 64):
         a = np.array([random_hermitian(d, rng) for _ in range(6)])
         b = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
         norms, inner = hs_norm(b), hs_inner(a, b)
         for k in range(6):
             assert hs_norm(b[k]) == norms[k] == float(np.linalg.norm(b[k]))
             assert hs_inner(a[k], b[k]) == inner[k] == complex(np.vdot(a[k], b[k]))
+        # a (3, 4, d, d) stack, and the non-contiguous view verify passes
+        stack = rng.standard_normal((3, 4, d, d)) + 1j * rng.standard_normal((3, 4, d, d))
+        norms, inner = hs_norm(stack), hs_inner(stack[::-1], stack)
+        assert norms.shape == inner.shape == (3, 4)
+        for j in range(3):
+            for k in range(4):
+                assert norms[j, k] == float(np.linalg.norm(stack[j, k]))
+                assert inner[j, k] == complex(np.vdot(stack[2 - j, k], stack[j, k]))
+        view = ginibre_stack(d, 7, 2, rng)[:, 0]
+        norms, inner = hs_norm(view), hs_inner(view, view[::-1])
+        for k in range(7):
+            assert norms[k] == float(np.linalg.norm(view[k]))
+            assert inner[k] == complex(np.vdot(view[k], view[6 - k]))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import os
@@ -103,7 +104,7 @@ def test_full_level_adds_grid_oracle():
 def test_sampled_driver():
     seen = []
 
-    @_sampled("probe", -3.5, (2, 3), (4, 5), "{n} draws per dimension", worst=-math.inf)
+    @_sampled("probe", -3.5, (2, 3), (4, 5), "{n} draws per dimension")
     def probe(d, n, rng):
         for k in range(n):
             seen.append((d, k))
@@ -112,6 +113,15 @@ def test_sampled_driver():
     assert probe("full", None) == CheckResult("probe", True, -3.5, -4.0, "3 draws per dimension")
     assert seen == [(4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (5, 2)]
     assert probe("fast", None).detail == "2 draws per dimension"
+
+    # a NaN is the largest residual, wherever it comes: the check fails
+    @_sampled("nan_probe", 1.0, (1, 1), (2,), "one NaN")
+    def nan_probe(d, n, rng):
+        yield 0.0
+        yield math.nan
+
+    result = nan_probe("fast", None)
+    assert not result.passed and math.isnan(result.residual)
 
 
 def test_sampled_checks_draw_in_their_dimensions(monkeypatch):
@@ -226,6 +236,19 @@ def _lower_branch(f):
     return mutant
 
 
+def _nan_first_rate(f):
+    # the first rate of every stack is NaN
+    def mutant(*args):
+        rate = np.array(f(*args))
+        rate.flat[0] = math.nan
+        return rate
+    return mutant
+
+
+def _nan_field(field):
+    return lambda f: lambda *args: dataclasses.replace(f(*args), **{field: math.nan})
+
+
 # Each mutant must fail exactly the named checks.  dephased_log_pairing has
 # none: both of its sides reduce to sum_i A_ii log2 B_ii, so it reads 0.0.
 MUTANTS = {
@@ -243,6 +266,14 @@ MUTANTS = {
                                {"entropy_constant_along_orbit", "fd_vs_analytic_rate"}),
     "family_lower_branch": ("verify", "max_surprisal_variance", _lower_branch,
                             {"simplex_grid_oracle"}),
+    # a NaN residual must fail its check, wherever it arises
+    "one_nan_rate_per_stack": ("verify", "coherence_derivative", _nan_first_rate,
+                               {"fd_vs_analytic_rate", "holder_saturation",
+                                "capacity_bound_certificate"}),
+    "nan_bound_gap": ("verify", "capacity_bound_equality", _nan_field("gap"),
+                      {"capacity_bound_equality"}),
+    "nan_grid_maximum": ("verify", "simplex_grid_oracle", _nan_field("f_best"),
+                         {"simplex_grid_oracle"}),
 }
 
 # The certificate's worst random pair sits far below the bound (ROADMAP item
@@ -251,7 +282,8 @@ MUTANT_SEEDS = {"family_f_halved": (0,)}
 
 # Only the grid oracle, a full-level check, sees the lower branch's bound,
 # 44% low at d = 3: the certificate's random pairs stay below even that.
-MUTANT_LEVEL = {"family_lower_branch": "full"}
+# A NaN grid maximum likewise shows only where the oracle runs.
+MUTANT_LEVEL = {"family_lower_branch": "full", "nan_grid_maximum": "full"}
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
