@@ -4,7 +4,10 @@ The capacity of H is the maximum over input states of the instantaneous rate
 of change of the relative entropy of coherence under exp(-iHt).  For 2×2
 Hamiltonians a closed form reduces the problem to a 1-D maximization; for
 general dimension the maximization over pure states runs as projected
-gradient ascent on the complex unit sphere with random restarts.
+gradient ascent on the complex unit sphere with random restarts.  A caller
+sets only the number of restarts and their seed (:class:`SolverConfig`); the
+first step, the gradient tolerance and the iteration limit are module
+constants.
 
 The module also provides the pieces of the capacity upper bound
 ``sqrt(2 max_p f(p))`` (f = surprisal variance): the two-level distribution
@@ -20,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .coherence import coherence_commutator, coherence_derivative
+from .coherence import coherence_commutator, coherence_derivative, surprisal_variance
 from .errors import (
     DimensionMismatch,
     InvalidGamma,
@@ -35,6 +38,9 @@ LN2 = math.log(2.0)
 _FLOOR = 1e-12          # smallest allowed squared amplitude during ascent
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
+_MAX_ITERS = 2000       # accepted steps per restart
+_GRAD_TOL = 1e-9        # projected gradient norm that counts as converged
+_STEP_INIT = 0.1        # first trial step of every restart
 
 
 class SolverMethod(enum.Enum):
@@ -44,36 +50,26 @@ class SolverMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for :func:`capacity_numeric`.
+    """The settings of :func:`capacity_numeric` a caller can vary.
 
     ``restarts`` starting states are drawn in turn from one
-    ``default_rng(seed)`` and ascended together as one batch, so the run
-    time follows the slowest restart: one pass per line-search candidate,
-    at most ``max_iters`` accepted steps per restart, each pass a few numpy
-    calls on a (restarts, d) array.  A restart stops when its projected
-    gradient norm reaches ``grad_tol``; ``step_init`` is its first trial step.
-    Both must be finite and positive; ``restarts`` and ``max_iters`` must be
-    integers, numpy integers included.
+    ``default_rng(seed)`` and ascended together as one batch (see
+    :func:`_armijo_ascent` for the fixed step, tolerance and iteration
+    limit).  Both are integers, numpy integers included and ``bool``
+    excluded: ``restarts`` at least 1 and ``seed`` at least 0.
     The search runs over pure states only; the test suite keeps a
     density-matrix ascent as an oracle that never beats it.
     """
 
     restarts: int = 32
-    max_iters: int = 2000
-    grad_tol: float = 1e-9
-    step_init: float = 0.1
     seed: int = 0
 
 
 def _validate_config(cfg: SolverConfig):
-    for name in ("restarts", "max_iters"):
+    for name, low in (("restarts", 1), ("seed", 0)):
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be an integer ≥ 1, got {value}")
-    if not 0 < cfg.grad_tol < math.inf:  # also rejects NaN
-        raise ValueError(f"grad_tol must be finite and positive, got {cfg.grad_tol}")
-    if not 0 < cfg.step_init < math.inf:
-        raise ValueError(f"step_init must be finite and positive, got {cfg.step_init}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer ≥ {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -360,7 +356,7 @@ def _rho_from_factor(a: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
-def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, cfg: SolverConfig):
+def _armijo_ascent(x0: np.ndarray, value_and_grad, retract):
     """Riemannian gradient ascent with Armijo backtracking, all restarts at once.
 
     ``x0`` holds one starting point per row; ``retract`` maps a stack of
@@ -369,11 +365,11 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, cfg: SolverConfig):
     Sepulchre, *Optimization Algorithms on Matrix Manifolds*, 2008).
 
     Every row follows the one-restart iteration: from step s, try
-    ``retract(x + s·grad)``, halve s on rejection (at most
-    ``_MAX_BACKTRACKS`` times), and start the next line search at 2s if the
-    first try was accepted, else at s.  A row stops when its gradient norm
-    reaches ``cfg.grad_tol`` (converged), when no step is accepted
-    (stalled) or after ``cfg.max_iters`` accepted steps.  Each pass
+    ``retract(x + s·grad)``, s starting at ``_STEP_INIT``, halve s on
+    rejection (at most ``_MAX_BACKTRACKS`` times), and start the next line
+    search at 2s if the first try was accepted, else at s.  A row stops when
+    its gradient norm reaches ``_GRAD_TOL`` (converged), when no step is
+    accepted (stalled) or after ``_MAX_ITERS`` accepted steps.  Each pass
     evaluates one candidate of every live row, whatever stage its line
     search is at, so a solve costs as many passes as its slowest row has
     candidates.  The gradient of an accepted candidate is that of the next
@@ -387,10 +383,10 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, cfg: SolverConfig):
     out_x, out_value = np.empty_like(x), np.empty(len(x))
     converged = np.zeros(len(x), dtype=bool)
     rows = np.arange(len(x))            # restart index of each live row
-    s = np.full(len(x), cfg.step_init)  # step of the row's next candidate
+    s = np.full(len(x), _STEP_INIT)     # step of the row's next candidate
     k = np.zeros(len(x), dtype=int)     # backtracks so far in its line search
     iters = np.zeros(len(x), dtype=int)
-    conv = done = gnorm <= cfg.grad_tol
+    conv = done = gnorm <= _GRAD_TOL
     while True:
         if done.any():
             out_x[rows[done]], out_value[rows[done]] = x[done], value[done]
@@ -424,8 +420,8 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, cfg: SolverConfig):
         s = np.where(ok, np.where(k == 0, 2.0 * s, s), 0.5 * s)
         k = np.where(ok, 0, k + 1)
         iters += ok
-        conv = ok & (gnorm <= cfg.grad_tol) & (iters < cfg.max_iters)
-        done = conv | (ok & (iters == cfg.max_iters)) | (k == _MAX_BACKTRACKS)
+        conv = ok & (gnorm <= _GRAD_TOL) & (iters < _MAX_ITERS)
+        done = conv | (ok & (iters == _MAX_ITERS)) | (k == _MAX_BACKTRACKS)
 
 
 def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityResult:
@@ -442,7 +438,8 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     restarts, and a pass costs little more with 32 rows than with one.
 
     Raises :class:`NoConvergence` — with the best-effort result attached —
-    when no restart brings the gradient norm below ``cfg.grad_tol``.
+    when no restart brings the gradient norm below ``_GRAD_TOL`` within
+    ``_MAX_ITERS`` accepted steps.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -453,7 +450,7 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     rng = np.random.default_rng(cfg.seed)
     x0 = np.array([random_pure_state(d, rng) for _ in range(cfg.restarts)])
     x, values, converged = _armijo_ascent(
-        x0, lambda psi: _pure_value_and_grad(h, psi), _floor_renorm, cfg
+        x0, lambda psi: _pure_value_and_grad(h, psi), _floor_renorm
     )
     best = int(np.argmax(values))  # the first of equal maxima
     best_rho = _rho_from_factor(x[best][:, None])
@@ -477,8 +474,8 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     )
     if not any_converged:
         raise NoConvergence(
-            f"no restart reached gradient tolerance {cfg.grad_tol:g} within "
-            f"{cfg.max_iters} iterations",
+            f"no restart reached gradient tolerance {_GRAD_TOL:g} within "
+            f"{_MAX_ITERS} iterations",
             best_result=result,
         )
     return result
@@ -495,9 +492,10 @@ def simplex_grid_oracle(d: int, resolution: int) -> GridSearchResult:
     returns the grid maximizer, the first of equal maxima.  Deliberately
     brute-force: this is the oracle the tests use to cross-examine the
     two-level-family claim, so it must not share machinery with
-    :func:`max_surprisal_variance`.  A non-integer d raises
-    ``DimensionMismatch``; a non-integer or ``bool`` resolution raises
-    ``ValueError``.
+    :func:`max_surprisal_variance`; f is the generic
+    :func:`cohgen.coherence.surprisal_variance` of all grid points at once.
+    A non-integer d raises ``DimensionMismatch``; a non-integer or ``bool``
+    resolution raises ``ValueError``.
     """
     _check_dim(d)
     if d not in (2, 3):
@@ -513,10 +511,7 @@ def simplex_grid_oracle(d: int, resolution: int) -> GridSearchResult:
         edges = (-1,) + cuts + (resolution + d - 1,)
         counts.append([edges[i + 1] - edges[i] - 1 for i in range(d)])
     p = np.asarray(counts, dtype=np.float64) / resolution
-    s = np.where(p > 0, -np.log2(np.maximum(p, 1e-300)), 0.0)
-    m1 = (p * s).sum(axis=1)
-    m2 = (p * s * s).sum(axis=1)
-    f = m2 - m1 * m1
+    f = surprisal_variance(p)
     k = int(f.argmax())
     best_p = p[k].copy()
     best_p.setflags(write=False)

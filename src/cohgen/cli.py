@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    cohgen capacity hamiltonian.json --out report.json
+    cohgen capacity hamiltonian.json --restarts 8 --seed 0 --out report.json
     cohgen optimal --dim 3 --out optimal.json
     cohgen evolve state.json hamiltonian.json --grid 0:2:200 --out traj.csv
     cohgen scan-gamma --dim 2 --resolution 200 --out scan.csv --summary-out scan.json
@@ -8,7 +8,9 @@
 
 stdout carries a short human summary; machine-readable output goes only to
 ``--out`` / ``--summary-out`` files, written with 17-significant-digit
-numbers so identical invocations produce byte-identical files.  ``verify``
+numbers so identical invocations produce byte-identical files.  The
+``--restarts`` and ``--seed`` flags of ``capacity`` are the solver's only
+settings, and its report's ``config`` holds exactly those two.  ``verify``
 also writes each check's wall time to stderr, one ``name: X ms`` line per
 check in report order; timings never reach stdout or a report.  A NaN or
 infinite residual is written as null, since JSON has neither; a NaN one has
@@ -39,7 +41,6 @@ from .serialization import (
     dumps_17,
     format_float,
     matrix_to_obj,
-    parse_config_text,
     parse_matrix_text,
     parse_state_text,
     trajectory_to_csv,
@@ -66,15 +67,9 @@ def _write_text(path: str, text: str):
 
 
 def _solver_config(args) -> SolverConfig:
-    """defaults < config file < command-line flags."""
-    fields = {}
-    if getattr(args, "config", None):
-        fields = parse_config_text(_read_text(args.config))
-    for name in ("seed", "restarts"):
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name] = value
-    return SolverConfig(**fields)
+    """The defaults, overridden by the ``--seed`` and ``--restarts`` flags that are set."""
+    flags = {name: getattr(args, name) for name in ("seed", "restarts")}
+    return SolverConfig(**{name: v for name, v in flags.items() if v is not None})
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -244,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--seed", type=int, help="solver seed")
     p.add_argument("--restarts", type=int, help="gradient-ascent restarts")
-    p.add_argument("--config", help="key=value solver config file")
     p.set_defaults(handler=cmd_capacity)
 
     p = sub.add_parser("optimal", help="best state/Hamiltonian pair for a dimension")

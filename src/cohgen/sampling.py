@@ -11,6 +11,8 @@ rounds of ``operands`` calls of :func:`random_hermitian` /
 :func:`random_density` (rank d) would draw, in that order; the stacked
 functions then give those calls' matrices bit for bit.
 """
+import numbers
+
 import numpy as np
 
 from .linalg import hs_norm
@@ -70,7 +72,13 @@ def random_density(d: int, rng, rank: int | None = None, mix: float = 0.0) -> np
     ``mix`` blends in the maximally mixed state, ``(1-mix) ρ + mix I/d``,
     which bounds the diagonal (and every eigenvalue) below by ``mix/d`` —
     handy when a test needs states safely away from vanishing diagonals.
+    ``ValueError`` unless ``0 ≤ mix ≤ 1`` and ``rank`` is an integer in
+    [1, d] (not a ``bool``); ``None`` means d.
     """
     if rank is None:
         rank = d
+    if isinstance(rank, bool) or not isinstance(rank, numbers.Integral) or not 1 <= rank <= d:
+        raise ValueError(f"rank must be an integer in [1, {d}], got {rank!r}")
+    if not 0.0 <= mix <= 1.0:  # also rejects NaN
+        raise ValueError(f"mix must lie in [0, 1], got {mix}")
     return density_from_ginibre(_ginibre(d, rank, rng), mix)

@@ -1,17 +1,15 @@
-"""File formats: matrix/vector JSON, trajectory CSV, key=value solver config.
+"""File formats: matrix/vector JSON and trajectory CSV.
 
 All numeric output is written with 17 significant digits, which round-trips
 IEEE-754 doubles exactly, so identical inputs produce byte-identical files on
 any platform.  Parsing is strict: malformed input raises
 :class:`cohgen.errors.ParseError` with the offending location.
 """
-import dataclasses
 import json
 import math
 
 import numpy as np
 
-from .capacity import SolverConfig
 from .errors import ParseError
 
 
@@ -160,37 +158,3 @@ def trajectory_to_csv(traj) -> str:
     for t, c, s in zip(traj.times, traj.coherence, traj.entropy):
         lines.append(f"{format_float(t)},{format_float(c)},{format_float(s)}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# solver config: flat key=value lines
-
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(SolverConfig)}
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse ``key=value`` lines into solver-config keyword arguments.
-
-    Blank lines and ``#`` comments are skipped; unknown keys and malformed
-    values are rejected with the line number.
-    """
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ParseError(f"config line {lineno}: expected key=value, got {raw!r}")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_FIELDS:
-            raise ParseError(f"config line {lineno}: unknown key {key!r}")
-        typ = _CONFIG_FIELDS[key]
-        try:
-            out[key] = typ(value)
-        except ValueError as exc:
-            raise ParseError(
-                f"config line {lineno}: cannot parse {value!r} as {typ.__name__}"
-            ) from exc
-    return out

@@ -1,7 +1,10 @@
 """End-to-end command-line tests, run in-process through cli.main."""
+import argparse
 import json
 import math
+import pathlib
 import re
+import shlex
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from cohgen import (
     optimal_hamiltonian,
     rel_entropy_coherence,
 )
-from cohgen.cli import main
+from cohgen.cli import build_parser, main
 from cohgen.serialization import dumps_17, matrix_to_obj
 from refvals import BOUND, F_MAX, GAMMA_STAR, X_STAR
 
@@ -88,12 +91,11 @@ def test_capacity_non_hermitian_input(tmp_path):
     assert main(["capacity", str(f)]) == 2
 
 
-def test_capacity_starved_solver_exits_3_but_writes_report(tmp_path):
+def test_capacity_starved_solver_exits_3_but_writes_report(tmp_path, monkeypatch):
     hfile = _write_matrix(tmp_path / "h.json", optimal_hamiltonian(2))
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("restarts = 1\nmax_iters = 1\n")
+    monkeypatch.setattr(cohgen.capacity, "_MAX_ITERS", 1)
     out = tmp_path / "r.json"
-    code = main(["capacity", hfile, "--config", str(cfg), "--out", str(out)])
+    code = main(["capacity", hfile, "--restarts", "1", "--out", str(out)])
     assert code == 3
     rep = json.loads(out.read_text())
     assert rep["numeric"]["converged"] is False
@@ -104,8 +106,9 @@ def test_no_convergence_is_a_convergence_failure(monkeypatch, capsys):
     # `capacity` itself still exits 3 with its report written (see the
     # starved-solver test above); any other verb falls to main's handler.
     assert issubclass(NoConvergence, ConvergenceFailure)
+    monkeypatch.setattr(cohgen.capacity, "_MAX_ITERS", 1)
     with pytest.raises(ConvergenceFailure) as err:
-        capacity_numeric(optimal_hamiltonian(2), SolverConfig(restarts=1, max_iters=1))
+        capacity_numeric(optimal_hamiltonian(2), SolverConfig(restarts=1))
     assert err.value.best_result.converged is False
 
     def unconverged(level, seed):
@@ -116,36 +119,21 @@ def test_no_convergence_is_a_convergence_failure(monkeypatch, capsys):
     assert "no restart converged" in capsys.readouterr().err
 
 
-def test_capacity_flag_overrides_config(tmp_path):
+def test_capacity_report_config_is_restarts_and_seed(tmp_path):
+    hfile = _write_matrix(tmp_path / "h.json", optimal_hamiltonian(2))
+    out = tmp_path / "r.json"
+    assert main(["capacity", hfile, "--seed", "2", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == {"restarts": 32, "seed": 2}
+
+
+def test_capacity_rejects_removed_config_flag(tmp_path, capsys):
     hfile = _write_matrix(tmp_path / "h.json", optimal_hamiltonian(2))
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("seed = 9\nrestarts = 4\n")
-    out = tmp_path / "r.json"
-    assert main(["capacity", hfile, "--config", str(cfg), "--seed", "2",
-                 "--out", str(out)]) == 0
-    rep = json.loads(out.read_text())
-    assert rep["config"]["seed"] == 2
-    assert rep["config"]["restarts"] == 4
-
-
-def test_capacity_bad_config(tmp_path):
-    hfile = _write_matrix(tmp_path / "h.json", optimal_hamiltonian(2))
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("restarts = many\n")
-    assert main(["capacity", hfile, "--config", str(cfg)]) == 2
-
-
-@pytest.mark.parametrize("setting", ["grad_tol = inf", "step_init = inf"])
-def test_capacity_non_finite_config_is_usage_error(tmp_path, capsys, setting):
-    hfile = _write_matrix(tmp_path / "h.json", optimal_hamiltonian(4))
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(setting + "\n")
-    out = tmp_path / "r.json"
-    assert main(["capacity", hfile, "--config", str(cfg), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "must be finite and positive" in captured.err
-    assert not out.exists()
+    cfg.write_text("restarts = 4\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", hfile, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_capacity_rejects_removed_mixed_flag(tmp_path, capsys):
@@ -329,3 +317,21 @@ def test_unknown_subcommand_is_usage_error(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_readme_cli_matches_the_parser():
+    # Every `cohgen ...` line of a ```sh block parses, and every inline code
+    # span starting with `--` names an option of some subcommand.
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for p in subparsers.choices.values() for o in p._option_string_actions}
+    commands = [line.strip()
+                for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+                for line in block.splitlines() if line.strip().startswith("cohgen ")]
+    assert commands
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
+    spans = re.findall(r"`(--[^`\s]*)[^`]*`", readme)
+    assert spans
+    assert set(spans) <= options, set(spans) - options

@@ -1,8 +1,11 @@
 """Property tests of the numeric capacity solver over generated Hermitian H."""
+from unittest import mock
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cohgen.capacity as capacity
 from cohgen import (
     NoConvergence,
     SolverConfig,
@@ -42,11 +45,13 @@ def test_capacity_numeric_properties(h, k):
     assert 0.0 <= res.value <= holder + 1e-9
     assert abs(coherence_derivative(h, res.argmax_state) - res.value) <= 1e-9
     # Capacity is homogeneous of degree one in H.  Scaling H by c = 2**k
-    # together with step_init by 1/c and grad_tol by c makes every candidate
-    # the same point, so the solver must return exactly c times the value.
-    # (With the step left alone, H and cH can end in different local maxima.)
+    # together with the first step by 1/c and the gradient tolerance by c
+    # makes every candidate the same point, so the solver must return exactly
+    # c times the value.  (With the step left alone, H and cH can end in
+    # different local maxima.)  The patch sits in the body: a function-scoped
+    # fixture would trip hypothesis's health check.
     c = 2.0 ** k
-    scaled_cfg = SolverConfig(restarts=CFG.restarts, seed=CFG.seed,
-                              step_init=CFG.step_init / c, grad_tol=CFG.grad_tol * c)
-    scaled = _solve(c * h, scaled_cfg)
+    with (mock.patch.object(capacity, "_STEP_INIT", capacity._STEP_INIT / c),
+          mock.patch.object(capacity, "_GRAD_TOL", capacity._GRAD_TOL * c)):
+        scaled = _solve(c * h, CFG)
     assert abs(scaled.value - c * res.value) <= 1e-9 * max(1.0, c * res.value)

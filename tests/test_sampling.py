@@ -55,6 +55,19 @@ def test_density_mixing_gives_full_support():
     assert lam.min() > 0.2 / 4 - 1e-12
 
 
+def test_density_rejects_bad_mix_and_rank():
+    rng = np.random.default_rng(6)
+    for mix in (np.nan, np.inf, -0.5, 1.5):
+        with pytest.raises(ValueError, match="mix"):
+            random_density(3, rng, mix=mix)
+    for rank in (0, 4, 2.5, True):
+        with pytest.raises(ValueError, match="rank"):
+            random_density(3, rng, rank=rank)
+    # the ends of both ranges, and numpy integers, are fine
+    validate_density(random_density(3, rng, rank=np.int64(3), mix=1.0))
+    validate_density(random_density(3, rng, rank=1, mix=0.0))
+
+
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_batched_draw_is_the_per_sample_stream(d):
     # one standard_normal((n, 2, 2, d, d)) draw builds, bit for bit, the

@@ -1,17 +1,15 @@
-import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from cohgen import ParseError, SolverConfig, serialization, trajectory
+from cohgen import ParseError, trajectory
 from cohgen.serialization import (
     TRAJECTORY_HEADER,
     dumps_17,
     format_float,
     matrix_from_obj,
     matrix_to_obj,
-    parse_config_text,
     parse_json_text,
     parse_matrix_text,
     parse_state_text,
@@ -98,37 +96,3 @@ def test_trajectory_csv_format():
     assert len(lines) == 3
     t, c, e = lines[1].split(",")
     assert float(t) == 0.0 and float(c) == 0.0 and float(e) == 1.0
-
-
-def test_config_parse_happy_path():
-    text = """
-# solver knobs
-restarts = 8
-max_iters=500
-grad_tol = 1e-8
-seed = 3
-"""
-    cfg = parse_config_text(text)
-    assert cfg == {
-        "restarts": 8,
-        "max_iters": 500,
-        "grad_tol": 1e-8,
-        "seed": 3,
-    }
-
-
-def test_config_parse_errors_carry_line_numbers():
-    with pytest.raises(ParseError, match="line 1"):
-        parse_config_text("restarts = nope")
-    with pytest.raises(ParseError, match="line 2"):
-        parse_config_text("restarts = 3\nwhat_is_this = 1")
-    with pytest.raises(ParseError):
-        parse_config_text("just some words")
-    # the removed mixed-state switch is an unknown key, not a silent no-op
-    with pytest.raises(ParseError, match="line 2: unknown key 'mixed'"):
-        parse_config_text("seed = 1\nmixed = true")
-
-
-def test_config_keys_match_solver_config_fields():
-    fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    assert set(serialization._CONFIG_FIELDS) == fields
