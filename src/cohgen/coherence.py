@@ -37,7 +37,7 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     Entries at or below ``ZERO_DIAG_TOL`` (after clamping negatives to zero)
     are replaced by 1 so that their term, 1·log₂1, is exactly zero.
     """
-    p = np.clip(p, 0.0, None)
+    p = np.maximum(p, 0.0)
     q = np.where(p > ZERO_DIAG_TOL, p, 1.0)
     # + 0.0 squashes IEEE -0.0
     return np.maximum(-(q * np.log2(q)).sum(axis=-1), 0.0) + 0.0

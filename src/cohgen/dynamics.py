@@ -1,5 +1,13 @@
 """Unitary time evolution and finite-difference oracles.
 
+:func:`trajectory` samples the coherence along an orbit without an
+eigensolve per point.  The spectrum of ρ never moves under e^{-iHt}, so it
+diagonalizes H and ρ once and then tracks only the diagonal of ρ(t),
+through a rank-r factor of ρ: O(d²·r) per point.  Eigenvalues within the
+rank cut-off ``_RANK_CUTOFF`` of the smallest get no column of the factor.
+Its entropy column is S(ρ) at every point by construction, not a
+measurement.
+
 The finite-difference derivative here is the independent check on the closed
 form in :func:`cohgen.coherence.coherence_derivative`: it knows nothing about
 commutators, only about evolving the state and differencing the coherence.
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import _entropy_bits, rel_entropy_coherence
+from .coherence import ZERO_DIAG_TOL, _entropy_bits, rel_entropy_coherence
 from .errors import DimensionMismatch, SingularState
 from .linalg import (
     _adjoint,
@@ -28,11 +36,16 @@ from .linalg import (
     validate_density,
 )
 
-# Matrix entries per block of the stacked conjugation in `trajectory`.  A
-# whole 2000-point grid at d = 32 in one block would hold several (2000, 32,
-# 32) complex temporaries at once; blocks keep them a fixed size instead, so
-# the working memory does not grow with the grid.
+# Entries per block temporary in `trajectory`.  A whole 2000-point grid of
+# a full-rank d = 32 state in one block would hold (32, 2000 * 32) complex
+# temporaries; blocks keep them a fixed size instead, so the working memory
+# does not grow with the grid.
 _BLOCK_ENTRIES = 2**15
+
+# Rank cut-off of `trajectory`: an eigenvalue of ρ at most this far above
+# the smallest one gets no column of the factor B.  It equals the entropy's
+# zero threshold, below which a probability adds nothing to an entropy.
+_RANK_CUTOFF = ZERO_DIAG_TOL
 
 
 @dataclass(frozen=True)
@@ -77,40 +90,49 @@ def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
     """Sample the orbit t ↦ e^{-iHt} ρ e^{iHt} on a finite, strictly
     ascending time grid.
 
-    H is diagonalized once.  The grid is then taken in blocks: each block is
-    one stacked conjugation W ρ' W† with W = V diag(e^{-iλt}) and ρ' = V†ρV,
-    and one stacked ``eigvalsh`` whose eigenvalues give both the entropy and,
-    with the diagonal, the coherence.  Per grid point that is two d×d complex
-    matrix products and one Hermitian eigenvalue solve, O(d³); the entropy
-    is recomputed from every sampled state, never copied from S(ρ), so it
-    stays a check on the conjugation.  A block holds at most
-    ``_BLOCK_ENTRIES`` matrix entries (about 0.5 MB of complex128 per
-    temporary) and is dropped once its coherence and entropy are taken, so
-    the working memory does not grow with the grid.  ρ is validated once at
-    entry, like in :func:`fd_derivative`.
+    A unitary orbit keeps the spectrum of ρ, so only the diagonal of ρ(t)
+    moves.  H = V diag(λ) V† and ρ' = V†ρV = U diag(μ) U† are diagonalized
+    once, μ ascending.  The multiple μ₀ I of the identity in
+    ρ' = μ₀ I + B B† never moves: it adds μ₀ to every diagonal entry,
+    exactly, so a maximally mixed ρ has coherence 0.  B = U√(μ − μ₀) keeps
+    the r columns whose μ − μ₀ exceeds ``_RANK_CUTOFF``.  Then
+    diag ρ(t) = μ₀ + Σ_r |V (e^{-iλt} ∘ b_r)|², taken in blocks of grid
+    points, each one (d, d) @ (d, T·r) product: O(d²·r) per point, O(d²)
+    for a pure state (r = 1), and no eigensolve per point.  The coherence
+    is S(diag ρ(t)) − S(ρ), and the entropy column is S(ρ) = S(μ) at every
+    point by construction; it is no check on the orbit.
+
+    A dropped column has μ − μ₀ ≤ ``_RANK_CUTOFF``, so the dropped mass is
+    at most d × ``_RANK_CUTOFF`` per diagonal entry.  A block temporary
+    holds at most ``_BLOCK_ENTRIES`` entries, so the working memory does
+    not grow with the grid.  ρ is validated once at entry, like in
+    :func:`fd_derivative`.
     """
     rho, hamiltonian = _check_shapes(rho, hamiltonian)
     rho = validate_density(rho)
     t_grid = np.asarray(t_grid, dtype=np.float64).reshape(-1)
     if t_grid.size == 0:
         raise ValueError("time grid is empty")
-    if not np.all(np.isfinite(t_grid)):
+    if not np.isfinite(t_grid).all():
         raise ValueError("time grid must be finite")
-    if t_grid.size > 1 and not np.all(np.diff(t_grid) > 0):
+    if not (t_grid[1:] > t_grid[:-1]).all():
         raise ValueError("time grid must be strictly ascending")
     lam, vec = eig_hermitian(hamiltonian)
     rho_eig = vec.conj().T @ rho @ vec
-    d = rho.shape[0]
-    block = max(1, _BLOCK_ENTRIES // (d * d))
-    ent = np.empty(t_grid.size)
+    mu, u = np.linalg.eigh((rho_eig + rho_eig.conj().T) / 2)
+    above = mu - mu[0]
+    keep = above > _RANK_CUTOFF
+    factor = u[:, keep] * np.sqrt(above[keep])
+    d, r = factor.shape
+    block = max(1, _BLOCK_ENTRIES // (d * max(r, 1)))
     s_diag = np.empty(t_grid.size)
     for start in range(0, t_grid.size, block):
-        part = slice(start, start + block)
-        w = vec * np.exp(-1j * lam * t_grid[part, None])[:, None, :]
-        rho_t = w @ rho_eig @ w.conj().swapaxes(-1, -2)
-        rho_t = (rho_t + rho_t.conj().swapaxes(-1, -2)) / 2
-        ent[part] = _entropy_bits(np.linalg.eigvalsh(rho_t))
-        s_diag[part] = _entropy_bits(rho_t.diagonal(axis1=-2, axis2=-1).real)
+        times = t_grid[start:start + block]
+        phased = np.exp(-1j * lam[:, None] * times)[:, :, None] * factor[:, None, :]
+        amp = (vec @ phased.reshape(d, -1)).reshape(d, times.size, r)
+        s_diag[start:start + times.size] = _entropy_bits(
+            mu[0] + (amp.real**2 + amp.imag**2).sum(axis=-1).T)
+    ent = np.full(t_grid.size, _entropy_bits(mu))
     coh = np.maximum(s_diag - ent, 0.0) + 0.0
     return Trajectory(times=t_grid, coherence=coh, entropy=ent)
 

@@ -154,7 +154,12 @@ TRAJECTORY_HEADER = "t,coherence_bits,entropy_bits"
 
 
 def trajectory_to_csv(traj) -> str:
-    lines = [TRAJECTORY_HEADER]
-    for t, c, s in zip(traj.times, traj.coherence, traj.entropy):
-        lines.append(f"{format_float(t)},{format_float(c)},{format_float(s)}")
-    return "\n".join(lines) + "\n"
+    """The CSV text of a trajectory: one row per time, each number as
+    :func:`format_float` writes it.  A non-finite value raises its error,
+    naming the first such value in row order."""
+    table = np.column_stack([traj.times, traj.coherence, traj.entropy])
+    finite = np.isfinite(table)
+    if not finite.all():
+        format_float(table[~finite][0])
+    rows = "%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist())
+    return f"{TRAJECTORY_HEADER}\n{rows}"

@@ -16,10 +16,18 @@ that yields one residual per sample.  Most generators draw all n samples
 of a dimension at once with :func:`cohgen.sampling.ginibre_stack`, which
 gives exactly the per-sample ``random_hermitian`` / ``random_density``
 stream, pass the stacks to the library's stacked functions in one call each
-and ``yield from`` the n residuals; ``entropy_constant_along_orbit`` and
-``qubit_cross_method`` loop over samples.  The two checks without a sample
-loop (``capacity_bound_equality`` and ``simplex_grid_oracle``) are written
-out and hand their residuals to :func:`_verdict` too.
+and ``yield from`` the n residuals.  ``qubit_cross_method`` loops over
+samples, and ``entropy_constant_along_orbit`` calls ``trajectory``, which
+takes one pair, once per sample.  The two checks without a sample loop
+(``capacity_bound_equality`` and ``simplex_grid_oracle``) are written out
+and hand their residuals to :func:`_verdict` too.
+
+``trajectory`` writes S(ρ) as the entropy of every orbit point by
+construction, so a drift test on its entropy column could not fail.
+``entropy_constant_along_orbit`` keeps its name and evolves each state with
+an e^{-iHt} built from a Taylor series instead (:func:`_taylor_orbit`),
+which never diagonalizes H.  Its residual is the larger of those states'
+entropy drift and their coherence gap to ``trajectory``.
 
 Checks draw from per-check seeded generators, so a report is a pure function
 of (level, seed).  The check names, their order and their count are what the
@@ -40,15 +48,17 @@ from .capacity import (
     simplex_grid_oracle,
 )
 from .coherence import (
+    _entropy_bits,
     coherence_commutator,
     coherence_derivative,
     dephase,
     surprisal_variance,
     surprisal_variance_pairform,
+    von_neumann_entropy,
 )
 from .dynamics import entropy_derivative_check, fd_derivative, trajectory
 from .errors import NoConvergence
-from .linalg import hs_norm
+from .linalg import _adjoint, hs_norm
 from .sampling import (
     density_from_ginibre,
     ginibre_stack,
@@ -139,15 +149,56 @@ def check_fd_vs_analytic(d, n, rng):
     yield from abs(fd_derivative(rho, h, 1e-4) - analytic)
 
 
+_TAYLOR_TERMS = 8
+
+
+def _taylor_orbit(rho, h, step, points):
+    """ρ_k = e^{-iHkτ} ρ e^{iHkτ} for k < ``points`` and each pair of the
+    stacks ρ, H of shape (n, d, d): shape (n, points, d, d), with no
+    eigensolve.
+
+    E† = e^{iHτ} is the Taylor series of A = iHτ/2^s to ``_TAYLOR_TERMS``
+    terms, in Horner form I + A(I + A/2(I + …)), squared s times; s is the
+    fewest halvings that bring ‖Hτ‖_F/2^s to 1/16 or less, so the
+    truncation is below (1/16)^9/9! ≈ 4e-17.  The orbit then doubles: the
+    first m states conjugated by E^m are the next m, and for Hermitian S
+    that is two products over the whole stack, E S E† = (S E†)† E†.
+    """
+    n, d, _ = h.shape
+    scale = 16 * step * np.linalg.norm(h, axis=(1, 2)).max()
+    squarings = max(0, int(np.ceil(np.log2(max(scale, 1.0)))))
+    a = 1j * step / 2**squarings * h
+    identity = back = np.eye(d)
+    for k in range(_TAYLOR_TERMS, 0, -1):
+        back = identity + a @ back / k
+    for _ in range(squarings):
+        back = back @ back
+    states = rho[:, None]
+    while states.shape[1] < points:
+        half = (states.reshape(n, -1, d) @ back).reshape(states.shape)
+        moved = (_adjoint(half).reshape(n, -1, d) @ back).reshape(states.shape)
+        states = np.concatenate([states, moved], axis=1)
+        back = back @ back
+    return states[:, :points]
+
+
 @_sampled("entropy_constant_along_orbit", 1e-9, (5, 20), (2, 3, 4),
-          "{n} orbits per dimension 2..4, 100-point grids")
+          "{n} orbits per dimension 2..4, 100-point grids, against a Taylor exponential")
 def check_entropy_constant(d, n, rng):
-    """Spectrum (hence entropy) is invariant along every unitary orbit."""
+    """``trajectory``'s coherence against states evolved by a Taylor-series
+    e^{-iHt}, a route that never diagonalizes H.  The residual is the larger
+    of the entropy drift of those states and the largest gap between
+    ``trajectory``'s coherence and theirs, S(Δ[ρ]) − S(ρ) as in
+    ``rel_entropy_coherence``, from the eigenvalues the drift uses."""
     grid = np.linspace(0.0, 5.0, 100)
-    for _ in range(n):
-        rho = random_density(d, rng, mix=0.1)
-        entropy = trajectory(rho, random_hermitian(d, rng), grid).entropy
-        yield float(np.abs(entropy - entropy[0]).max())
+    pairs = [(random_density(d, rng, mix=0.1), random_hermitian(d, rng)) for _ in range(n)]
+    rho, h = (np.array(side) for side in zip(*pairs))
+    states = _taylor_orbit(rho, h, grid[1], grid.size)
+    entropy = von_neumann_entropy(states)
+    reference = np.maximum(_entropy_bits(states.diagonal(axis1=-2, axis2=-1).real) - entropy, 0.0)
+    coherence = np.array([trajectory(r, g, grid).coherence for r, g in pairs])
+    gap = np.abs(coherence - reference)
+    yield from np.maximum(np.abs(entropy - entropy[:, :1]).max(axis=1), gap.max(axis=1))
 
 
 @_sampled("entropy_rate_identity", 1e-10, (10, 50), (2, 3, 4),

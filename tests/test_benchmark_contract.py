@@ -12,6 +12,9 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import cohgen.cli
 import cohgen.verify
 
@@ -19,9 +22,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
-def _load_tracing():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(PERFBENCH, "tracing.py"))
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -39,7 +42,7 @@ def test_benchmark_selftest_passes():
 
 
 def test_tracer_round_trip(tmp_path):
-    tracing = _load_tracing()
+    tracing = _load_perfbench("tracing")
     for module, names in tracing.TRACED.items():
         for name in names:
             assert callable(getattr(sys.modules[f"cohgen.{module}"], name, None)), \
@@ -66,3 +69,37 @@ def test_tracer_round_trip(tmp_path):
     for label in ("cli.main", "capacity.capacity_numeric", "capacity.capacity_qubit",
                   "serialization.parse_matrix_text", "serialization.dumps_17"):
         assert label in tracer.stats, label
+
+
+def _entropy_bits(p):
+    p = p[p > 1e-14]
+    return float(-(p * np.log2(p)).sum())
+
+
+@pytest.mark.parametrize("seed, group", [(0, 0), (310, 0)])
+def test_orbit_requests_match_an_expm_reference(seed, group, tmp_path):
+    # the orbit_scan requests of one benchmark group, run as the benchmark
+    # runs them; at 20 grid points the coherence column must match states
+    # evolved with scipy's expm, and the entropy column must be S(rho)
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    workloads, checks = _load_perfbench("workloads"), _load_perfbench("checks")
+    for request in workloads.orbit_group(seed, group, str(tmp_path)):
+        for path, text in request.files.items():
+            with open(path, "w") as f:
+                f.write(text)
+        assert cohgen.cli.main(request.argv) == 0
+        with open(request.out, "rb") as f:
+            out = f.read()
+        assert checks.check_orbit(request, 0, out) == []
+        h_obj = json.loads(request.files[request.argv[2]])
+        h = np.array(h_obj["re"]) + 1j * np.array(h_obj["im"])
+        rho = request.meta["rho"]
+        table = np.loadtxt(request.out, delimiter=",", skiprows=1)
+        s_rho = _entropy_bits(np.linalg.eigvalsh(rho))
+        assert np.abs(table[:, 2] - s_rho).max() <= 1e-12, (request.kind, request.dim)
+        for t, coherence, _ in table[np.linspace(0, len(table) - 1, 20).astype(int)]:
+            u = scipy_linalg.expm(-1j * t * h)
+            state = u @ rho @ u.conj().T
+            expected = (_entropy_bits(state.diagonal().real)
+                        - _entropy_bits(np.linalg.eigvalsh(state)))
+            assert abs(coherence - expected) <= 1e-12, (request.kind, request.dim, t)

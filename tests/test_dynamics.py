@@ -129,17 +129,33 @@ def _reference_trajectory(rho, h, grid):
     return np.array(coh), np.array(ent)
 
 
-@pytest.mark.parametrize("d", [2, 3, 8, 32])
-@pytest.mark.parametrize("rank", ["pure", "full"])
-def test_trajectory_matches_point_by_point_reference(d, rank):
+def _state_near_the_cutoff(rng):
+    # d = 4, eigenvalues 1 - 2e-14, 1.1 and 0.9 times the rank cut-off, and 0:
+    # the factor keeps the column just above the cut-off and drops the one
+    # just below it
+    cutoff = cohgen.dynamics._RANK_CUTOFF
+    mu = np.array([1.0 - 2 * cutoff, 1.1 * cutoff, 0.9 * cutoff, 0.0])
+    w, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    rho = (w * mu) @ w.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+@pytest.mark.parametrize("rank, d", [(rank, d) for rank in ("full", "pure") for d in (2, 3, 8, 32)]
+                         + [("rank2", 8), ("cutoff", 4)])
+def test_trajectory_matches_point_by_point_reference(rank, d):
     rng = np.random.default_rng([d, rank == "pure"])
     if rank == "pure":
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         psi /= np.linalg.norm(psi)
         rho = np.outer(psi, psi.conj())
+    elif rank == "rank2":
+        rho = random_density(d, rng, rank=2)
+    elif rank == "cutoff":
+        rho = _state_near_the_cutoff(rng)
     else:
         rho = random_density(d, rng, mix=0.1)
     h = random_hermitian(d, rng)
+    # the block length of a full-rank state; a lower rank has longer blocks
     block = max(1, cohgen.dynamics._BLOCK_ENTRIES // (d * d))
     # grid lengths on both sides of a block edge, and a long multi-block grid;
     # every grid is a prefix of the longest, so one reference run covers all
@@ -155,29 +171,35 @@ def test_trajectory_matches_point_by_point_reference(d, rank):
 
 def test_trajectory_memory_does_not_grow_with_the_grid():
     # a (2000, 32, 32) complex stack is 32.8 MB; the blocks keep the working
-    # set to a few of their 0.5 MB temporaries whatever the grid length
+    # set to a few of their 0.5 MB temporaries whatever the grid length, for
+    # a full-rank state (31 factor columns, 33 points a block) and a pure one
+    # (1 column, 1024 points a block); each short grid spans a whole block
     rng = np.random.default_rng(14)
     rho, h = random_density(32, rng), random_hermitian(32, rng)
+    psi = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    psi /= np.linalg.norm(psi)
 
-    def peak_mb(points):
+    def peak_mb(state, points):
         grid = np.linspace(0.0, 5.0, points)
         tracemalloc.start()
         try:
-            trajectory(rho, h, grid)
+            trajectory(state, h, grid)
             return tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
 
-    short, long = peak_mb(200), peak_mb(2000)
-    assert long < 4.0, long
-    assert abs(long - short) < 1.0, (short, long)
+    for state, points in ((rho, (200, 2000)), (np.outer(psi, psi.conj()), (2000, 6000))):
+        short, long = peak_mb(state, points[0]), peak_mb(state, points[1])
+        assert max(short, long) < 4.0, (short, long)
+        assert abs(long - short) < 1.0, (short, long)
 
 
 def test_entropy_check_catches_non_unitary_eigenbasis(monkeypatch):
-    # Scaling one row of V makes the conjugation non-unitary in a way that
-    # changes the spectrum along the orbit.  (A uniform scale would not: it
-    # multiplies every state by the same constant.)  The check only sees this
-    # because the entropy is recomputed from each sampled state.
+    # Scaling one row of V makes the orbit's diagonal no distribution: row 0
+    # of every sampled state grows by 1.01².  The entropy column is S(ρ) by
+    # construction and cannot show it; the check sees it because it compares
+    # the coherence with states evolved by a Taylor-series exponential,
+    # which never calls eig_hermitian.
     original = cohgen.dynamics.eig_hermitian
 
     def skewed_eig(h):

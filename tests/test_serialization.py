@@ -1,9 +1,11 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
-from cohgen import ParseError, trajectory
+from cohgen import ParseError, Trajectory, random_density, random_hermitian, trajectory
 from cohgen.serialization import (
     TRAJECTORY_HEADER,
     dumps_17,
@@ -96,3 +98,41 @@ def test_trajectory_csv_format():
     assert len(lines) == 3
     t, c, e = lines[1].split(",")
     assert float(t) == 0.0 and float(c) == 0.0 and float(e) == 1.0
+
+
+def _per_row_csv(traj) -> str:
+    """The trajectory writer as it was: format_float on every value, row by row."""
+    lines = [TRAJECTORY_HEADER]
+    for t, c, s in zip(traj.times, traj.coherence, traj.entropy):
+        lines.append(f"{format_float(t)},{format_float(c)},{format_float(s)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d", [2, 8, 32])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_trajectory_csv_matches_the_per_row_writer(kind, d):
+    rng = np.random.default_rng([d, kind == "pure"])
+    if kind == "pure":
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        psi /= np.linalg.norm(psi)
+        rho = np.outer(psi, psi.conj())
+    else:
+        rho = random_density(d, rng)
+    traj = trajectory(rho, random_hermitian(d, rng), np.linspace(0.0, 7.3, 2000))
+    assert trajectory_to_csv(traj) == _per_row_csv(traj)
+    # also -0.0, the extremes of a double and a time that is an integer
+    edges = np.array([-0.0, 5e-324, 1.7976931348623157e308, 3.0])
+    odd = Trajectory(times=edges, coherence=edges[::-1].copy(), entropy=np.zeros(4))
+    assert trajectory_to_csv(odd) == _per_row_csv(odd)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", ["times", "coherence", "entropy"])
+def test_trajectory_csv_rejects_non_finite_like_format_float(column, bad):
+    columns = {name: np.linspace(0.0, 1.0, 5) for name in ("times", "coherence", "entropy")}
+    columns[column][3] = bad
+    columns["entropy"][4] = 7.0 if column == "entropy" else math.nan   # a later bad row
+    with pytest.raises(ValueError) as old:
+        _per_row_csv(Trajectory(**columns))
+    with pytest.raises(ValueError, match=re.escape(str(old.value))):
+        trajectory_to_csv(Trajectory(**columns))

@@ -208,6 +208,24 @@ def test_batched_checks_yield_the_per_sample_residuals(level, seed):
             assert list(check.residuals(d, n, batched)) == expected, (names[index], d)
 
 
+@pytest.mark.parametrize("step", [0.05, 0.7])
+def test_taylor_orbit_matches_expm(step):
+    # the eigensolve-free reference orbit of entropy_constant_along_orbit
+    # against scipy's expm; step 0.7 needs squarings.  The error grows along
+    # the orbit, to about 2e-13 at t = 25, far below the check's 1e-9
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(19)
+    for d in (2, 3, 4):
+        rho = np.array([random_density(d, rng, mix=0.1) for _ in range(3)])
+        h = np.array([random_hermitian(d, rng) for _ in range(3)])
+        states = cohgen.verify._taylor_orbit(rho, h, step, 37)
+        assert states.shape == (3, 37, d, d)
+        for k in (0, 1, 2, 17, 36):
+            u = np.array([scipy_linalg.expm(-1j * step * k * m) for m in h])
+            expected = u @ rho @ u.conj().swapaxes(-1, -2)
+            assert np.abs(states[:, k] - expected).max() < 1e-12, (d, k)
+
+
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         run_checks("extreme", seed=0)
@@ -245,6 +263,15 @@ def _nan_first_rate(f):
     return mutant
 
 
+def _halved_coherence(f):
+    # the orbit's coherence column halved; its entropy column, S(rho) by
+    # construction, stays right
+    def mutant(*args):
+        traj = f(*args)
+        return dataclasses.replace(traj, coherence=traj.coherence / 2)
+    return mutant
+
+
 def _nan_field(field):
     return lambda f: lambda *args: dataclasses.replace(f(*args), **{field: math.nan})
 
@@ -264,6 +291,8 @@ MUTANTS = {
     "hs_norm_off_by_1e-3": ("verify", "hs_norm", _scale(1.001), {"holder_saturation"}),
     "eigenbasis_not_unitary": ("dynamics", "eig_hermitian", _skew_eigenbasis,
                                {"entropy_constant_along_orbit", "fd_vs_analytic_rate"}),
+    "orbit_coherence_halved": ("verify", "trajectory", _halved_coherence,
+                               {"entropy_constant_along_orbit"}),
     "family_lower_branch": ("verify", "max_surprisal_variance", _lower_branch,
                             {"simplex_grid_oracle"}),
     # a NaN residual must fail its check, wherever it arises
