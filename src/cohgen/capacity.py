@@ -7,7 +7,10 @@ general dimension the maximization over pure states runs as projected
 gradient ascent on the complex unit sphere with random restarts.  A caller
 sets only the number of restarts and their seed (:class:`SolverConfig`); the
 first step, the gradient tolerance and the iteration limit are module
-constants.
+constants.  Every result carries a proven ceiling on the capacity
+(``upper_bound``); the ascent ends as soon as a restart finishes on it, which
+happens for every qubit H and every matched H, never for a generic H at
+d ≥ 3 (see :func:`capacity_numeric`).
 
 The module also provides the pieces of the capacity upper bound
 ``sqrt(2 max_p f(p))`` (f = surprisal variance): the two-level distribution
@@ -41,6 +44,7 @@ _MAX_BACKTRACKS = 60
 _MAX_ITERS = 2000       # accepted steps per restart
 _GRAD_TOL = 1e-9        # projected gradient norm that counts as converged
 _STEP_INIT = 0.1        # first trial step of every restart
+_CERT_TOL = 1e-14       # relative distance to the proven ceiling that ends a solve
 
 
 class SolverMethod(enum.Enum):
@@ -80,6 +84,7 @@ class CapacityResult:
     restarts_used: int
     converged: bool
     min_diag: float             # smallest diagonal entry of argmax_state
+    upper_bound: float          # proven ceiling on the capacity (see capacity_numeric)
 
 
 @dataclass(frozen=True)
@@ -310,6 +315,7 @@ def capacity_qubit(hamiltonian) -> CapacityResult:
         restarts_used=0,
         converged=True,
         min_diag=float(x),
+        upper_bound=float(value),
     )
 
 
@@ -356,7 +362,7 @@ def _rho_from_factor(a: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
-def _armijo_ascent(x0: np.ndarray, value_and_grad, retract):
+def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, ceiling=math.inf):
     """Riemannian gradient ascent with Armijo backtracking, all restarts at once.
 
     ``x0`` holds one starting point per row; ``retract`` maps a stack of
@@ -375,8 +381,17 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract):
     candidates.  The gradient of an accepted candidate is that of the next
     iterate, so it is never recomputed.
 
+    ``ceiling`` is a proven upper bound C on the objective.  When a row
+    stops, for any of the three reasons, with its value within
+    ``_CERT_TOL``·C of C on either side, no other row can beat it by more
+    than that: the row counts as converged and every live row stops where it
+    is, unconverged.  The window is two-sided, so a value above C (a wrong
+    bound) never stops the ascent.  The test runs only on passes where some
+    row stops, so a pass costs the same with or without a ceiling.
+
     Returns the final points, their values and a converged flag per row.
     """
+    low, high = (1.0 - _CERT_TOL) * ceiling, (1.0 + _CERT_TOL) * ceiling  # empty when infinite
     x = retract(x0)
     value, grad = value_and_grad(x)
     gnorm = np.linalg.norm(grad.reshape(len(x), -1), axis=-1)
@@ -389,6 +404,9 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract):
     conv = done = gnorm <= _GRAD_TOL
     while True:
         if done.any():
+            on_bound = done & (value >= low) & (value <= high)
+            if on_bound.any():
+                conv, done = conv | on_bound, np.ones_like(done)
             out_x[rows[done]], out_value[rows[done]] = x[done], value[done]
             converged[rows[done]] = conv[done]
             live = ~done
@@ -437,8 +455,25 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     cost is set by the slowest restart's iterations rather than the sum over
     restarts, and a pass costs little more with 32 rows than with one.
 
-    Raises :class:`NoConvergence` — with the best-effort result attached —
-    when no restart brings the gradient norm below ``_GRAD_TOL`` within
+    The ascent is also handed a proven ceiling, kept as ``upper_bound``:
+    C = ‖H − diag H‖₂ · √(2 max_p f(p)), the second factor being
+    ``max_surprisal_variance(d).capacity_bound``.  Proof: in the rate
+    −2 Σ_k log₂|ψ_k|² Im[ψ̄_k (Hψ)_k] the diagonal of H contributes
+    Im[H_kk |ψ_k|²] = 0, so H and H − diag H have the same rate at every
+    state, and the paper bounds the rate of any H by ‖H‖₂ · √(2 max_p f(p))
+    (Hölder, with ‖i[ρ, log₂Δ(ρ)]‖₂² = 2 f(p) for a pure ρ of populations
+    p).  Equality holds for every d = 2 H, where ‖H − diag H‖₂ = √2 |H₁₀|
+    and √(2 f_max(2)) = √2 g(x*) make C the closed form 2|H₁₀| g(x*) of
+    :func:`capacity_qubit`, and for every matched H (a multiple of
+    :func:`optimal_hamiltonian` under a diagonal phase and a permutation),
+    which has a zero diagonal and attains the paper's bound.  Once a restart
+    finishes within ``_CERT_TOL``·C of C the solve is certified and the
+    other restarts stop (see :func:`_armijo_ascent`).  A generic H at d ≥ 3
+    stays well below C, so its solve runs exactly as it would without one.
+
+    ``converged`` means some restart brought the gradient norm below
+    ``_GRAD_TOL`` or finished on the ceiling.  Raises :class:`NoConvergence`
+    — with the best-effort result attached — when neither happened within
     ``_MAX_ITERS`` accepted steps.
     """
     if cfg is None:
@@ -447,10 +482,11 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     h = validate_hermitian(hamiltonian)
     d = h.shape[0]
     _check_dim(d)
+    ceiling = hs_norm(h - np.diag(h.diagonal())) * max_surprisal_variance(d).capacity_bound
     rng = np.random.default_rng(cfg.seed)
     x0 = np.array([random_pure_state(d, rng) for _ in range(cfg.restarts)])
     x, values, converged = _armijo_ascent(
-        x0, lambda psi: _pure_value_and_grad(h, psi), _floor_renorm
+        x0, lambda psi: _pure_value_and_grad(h, psi), _floor_renorm, ceiling
     )
     best = int(np.argmax(values))  # the first of equal maxima
     best_rho = _rho_from_factor(x[best][:, None])
@@ -471,6 +507,7 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
         restarts_used=cfg.restarts,
         converged=any_converged,
         min_diag=float(best_rho.diagonal().real.min()),
+        upper_bound=float(ceiling),
     )
     if not any_converged:
         raise NoConvergence(

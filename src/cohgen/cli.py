@@ -16,8 +16,13 @@ check in report order; timings never reach stdout or a report.  A NaN or
 infinite residual is written as null, since JSON has neither; a NaN one has
 failed its check.
 
+A ``capacity`` report's ``numeric`` (and, at d = 2, ``qubit``) object holds
+``upper_bound``, the proven ceiling the value is measured against: a solve
+that finishes on it is certified and ``converged``.
+
 Exit codes: 0 success, 1 verification failure, 2 input/parse error,
-3 solver non-convergence.
+3 solver non-convergence (no restart converged or reached the ceiling; the
+report is still written).
 """
 import argparse
 import dataclasses
@@ -91,6 +96,7 @@ def _parse_grid(text: str) -> np.ndarray:
 def _result_obj(res) -> dict:
     return {
         "value": res.value,
+        "upper_bound": res.upper_bound,
         "method": res.method.value,
         "restarts_used": res.restarts_used,
         "converged": res.converged,

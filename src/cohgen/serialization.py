@@ -44,7 +44,10 @@ def dumps_17(obj) -> str:
     spaces a level.
 
     Lists containing only numbers are kept on one line (matrix rows stay
-    readable); dict keys keep insertion order.  Ends with a newline.
+    readable); dict keys keep insertion order.  Ends with a newline.  A
+    list of Python floats whose sum is finite (so every entry is) skips the
+    per-value type dispatch: it is written with ``format(v, ".17g")``, which
+    is what :func:`format_float` writes for a finite float.
     """
 
     def emit(x, depth):
@@ -60,6 +63,8 @@ def dumps_17(obj) -> str:
         if isinstance(x, (list, tuple)):
             if not x:
                 return "[]"
+            if set(map(type, x)) == {float} and math.isfinite(sum(x)):
+                return "[" + ", ".join([format(v, ".17g") for v in x]) + "]"
             if all(_is_number(v) for v in x):
                 return "[" + ", ".join(_scalar(v) for v in x) + "]"
             parts = [inner + emit(v, depth + 1) for v in x]

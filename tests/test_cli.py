@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 import argparse
+import importlib.util
 import json
 import math
 import pathlib
@@ -100,6 +101,32 @@ def test_capacity_starved_solver_exits_3_but_writes_report(tmp_path, monkeypatch
     rep = json.loads(out.read_text())
     assert rep["numeric"]["converged"] is False
     assert rep["numeric"]["value"] >= 0.0
+
+
+def _benchmark_workloads():
+    # read-only: the benchmark's request builder
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed, group", [(35, 35), (69, 22), (80, 46), (203, 9),
+                                         (314, 34), (316, 29)])
+def test_capacity_certifies_the_zigzag_qubits(seed, group, tmp_path):
+    # On these random qubit requests every restart zig-zags to _MAX_ITERS on
+    # the closed-form value; the solve ends on the proven ceiling instead of
+    # exiting 3.
+    req = _benchmark_workloads().capacity_group(seed, group, str(tmp_path))[0]
+    assert (req.kind, req.dim) == ("random", 2)
+    for path, text in req.files.items():
+        pathlib.Path(path).write_text(text)
+    assert main(req.argv) == 0
+    rep = json.loads(pathlib.Path(req.out).read_text())
+    assert rep["numeric"]["converged"] is True
+    assert rep["method_gap"] <= 1e-14 * rep["numeric"]["upper_bound"]
+    assert rep["qubit"]["upper_bound"] == rep["qubit"]["value"]
 
 
 def test_no_convergence_is_a_convergence_failure(monkeypatch, capsys):

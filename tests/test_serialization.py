@@ -48,6 +48,75 @@ def test_dumps_17_digits():
     assert "0.10000000000000001" in text
 
 
+def _reference_dumps_17(obj) -> str:
+    """The emitter as it was before lists of Python floats got a fast path:
+    every value of a one-line list goes through the type dispatch."""
+
+    def is_number(x):
+        return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+    def scalar(x):
+        if x is None:
+            return "null"
+        if isinstance(x, (bool, np.bool_)):
+            return "true" if x else "false"
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        if isinstance(x, (float, np.floating)):
+            return format_float(x)
+        return json.dumps(x)
+
+    def emit(x, depth):
+        pad, inner = "  " * depth, "  " * (depth + 1)
+        if isinstance(x, dict):
+            if not x:
+                return "{}"
+            parts = [f"{inner}{json.dumps(str(k))}: {emit(v, depth + 1)}" for k, v in x.items()]
+            return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+        if isinstance(x, np.ndarray):
+            x = x.tolist()
+        if isinstance(x, (list, tuple)):
+            if not x:
+                return "[]"
+            if all(is_number(v) for v in x):
+                return "[" + ", ".join(scalar(v) for v in x) + "]"
+            parts = [inner + emit(v, depth + 1) for v in x]
+            return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+        return scalar(x)
+
+    return emit(obj, 0) + "\n"
+
+
+def test_dumps_17_matches_the_reference_emitter():
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    big = 1.7976931348623157e308
+    obj = {
+        "state": matrix_to_obj(m),
+        "edges": [-0.0, 5e-324, big, 3.0],
+        "overflowing_sum": [big, big, -1.0],        # finite entries, infinite sum
+        "mixed": [1, 2.5, np.float64(0.1), np.int64(-3)],
+        "numpy_floats": np.arange(4.0)[:, None] / 7,
+        "tuple": (0.25, 1e-300),
+        "flags": [True, 1.0, None, "x"],
+        "empty": [[], {}],
+        "scalars": {"f": 0.1, "i": 7, "b": False, "n": None},
+    }
+    assert dumps_17(obj) == _reference_dumps_17(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 2])
+def test_dumps_17_rejects_non_finite_like_the_reference(bad, where):
+    row = [0.5, -1.25, 2.0]
+    row[where] = bad
+    obj = {"rows": [[1.0, 2.0], row + [math.nan]]}   # a later bad value too
+    with pytest.raises(ValueError) as old:
+        _reference_dumps_17(obj)
+    with pytest.raises(ValueError, match=re.escape(str(old.value))):
+        dumps_17(obj)
+
+
 def test_matrix_round_trip_bit_exact():
     rng = np.random.default_rng(0)
     for d in (2, 3, 5):

@@ -25,7 +25,7 @@ from cohgen import (
     surprisal_variance,
     surprisal_variance_pairform,
 )
-from cohgen.capacity import _branch_peak
+from cohgen.capacity import _branch_peak, _family_f
 from cohgen.verify import CheckResult, _rng_for, _sampled
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -254,6 +254,18 @@ def _lower_branch(f):
     return mutant
 
 
+def _gamma_scaled(factor):
+    # the family maximum taken at factor·γ*, with the f of that γ: a bound
+    # slightly too low, which capacity_numeric also uses as its ceiling
+    def wrap(f):
+        def mutant(d):
+            gamma = factor * f(d).gamma
+            f_max = _family_f(gamma, d)
+            return GammaResult(gamma, f_max, math.sqrt(2.0 * f_max))
+        return mutant
+    return wrap
+
+
 def _nan_first_rate(f):
     # the first rate of every stack is NaN
     def mutant(*args):
@@ -295,6 +307,8 @@ MUTANTS = {
                                {"entropy_constant_along_orbit"}),
     "family_lower_branch": ("verify", "max_surprisal_variance", _lower_branch,
                             {"simplex_grid_oracle"}),
+    "family_gamma_3e-3_high": ("capacity", "max_surprisal_variance", _gamma_scaled(1 + 3e-3),
+                               {"qubit_cross_method"}),
     # a NaN residual must fail its check, wherever it arises
     "one_nan_rate_per_stack": ("verify", "coherence_derivative", _nan_first_rate,
                                {"fd_vs_analytic_rate", "holder_saturation",
