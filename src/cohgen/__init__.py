@@ -42,7 +42,6 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     InvalidGamma,
-    NoConvergence,
     NotHermitian,
     NotPSD,
     NotUnitTrace,
@@ -78,7 +77,6 @@ __all__ = [
     "GammaResult",
     "GridSearchResult",
     "InvalidGamma",
-    "NoConvergence",
     "NotHermitian",
     "NotPSD",
     "NotUnitTrace",

@@ -10,7 +10,8 @@ first step, the gradient tolerance and the iteration limit are module
 constants.  Every result carries a proven ceiling on the capacity
 (``upper_bound``); the ascent ends as soon as a restart finishes on it, which
 happens for every qubit H and every matched H, never for a generic H at
-d ≥ 3 (see :func:`capacity_numeric`).
+d ≥ 3 (see :func:`capacity_numeric`).  A solve that does not converge is no
+error: it returns its best result, with ``converged`` false.
 
 The module also provides the pieces of the capacity upper bound
 ``sqrt(2 max_p f(p))`` (f = surprisal variance): the two-level distribution
@@ -30,7 +31,6 @@ from .coherence import coherence_commutator, coherence_derivative, surprisal_var
 from .errors import (
     DimensionMismatch,
     InvalidGamma,
-    NoConvergence,
     ResolutionTooLarge,
     ZeroCommutator,
 )
@@ -472,9 +472,9 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     stays well below C, so its solve runs exactly as it would without one.
 
     ``converged`` means some restart brought the gradient norm below
-    ``_GRAD_TOL`` or finished on the ceiling.  Raises :class:`NoConvergence`
-    — with the best-effort result attached — when neither happened within
-    ``_MAX_ITERS`` accepted steps.
+    ``_GRAD_TOL`` or finished on the ceiling.  When neither happened within
+    ``_MAX_ITERS`` accepted steps the best-effort result still returns, with
+    ``converged`` false.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -491,7 +491,6 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     best = int(np.argmax(values))  # the first of equal maxima
     best_rho = _rho_from_factor(x[best][:, None])
     best_value = values[best]
-    any_converged = bool(converged.any())
     if best_value < 0.0:
         # Every ascent got stuck below zero (essentially-diagonal h). The
         # uniform-magnitude state has rate exactly 0, which is always
@@ -500,22 +499,15 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
         best_rho = np.outer(psi, psi.conj())
         best_value = 0.0
     best_rho.setflags(write=False)
-    result = CapacityResult(
+    return CapacityResult(
         value=float(best_value) + 0.0,  # squash IEEE -0.0 from stuck ascents
         argmax_state=best_rho,
         method=SolverMethod.PURE_STATE_ASCENT,
         restarts_used=cfg.restarts,
-        converged=any_converged,
+        converged=bool(converged.any()),
         min_diag=float(best_rho.diagonal().real.min()),
         upper_bound=float(ceiling),
     )
-    if not any_converged:
-        raise NoConvergence(
-            f"no restart reached gradient tolerance {_GRAD_TOL:g} within "
-            f"{_MAX_ITERS} iterations",
-            best_result=result,
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ A ``capacity`` report's ``numeric`` (and, at d = 2, ``qubit``) object holds
 that finishes on it is certified and ``converged``.
 
 Exit codes: 0 success, 1 verification failure, 2 input/parse error,
-3 solver non-convergence (no restart converged or reached the ceiling; the
-report is still written).
+3 solver non-convergence (a ``capacity`` result with ``converged`` false,
+whose report is still written, or a failed eigensolve in any subcommand).
 """
 import argparse
 import dataclasses
@@ -40,7 +40,7 @@ from .capacity import (
 )
 from .coherence import surprisal_variance
 from .dynamics import trajectory
-from .errors import ConvergenceFailure, NoConvergence, ParseError
+from .errors import ConvergenceFailure, ParseError
 from .linalg import hs_norm, validate_hermitian, validate_pure_state
 from .serialization import (
     dumps_17,
@@ -115,12 +115,7 @@ def cmd_capacity(args) -> int:
         "hamiltonian_hs_norm": hs_norm(h),
         "config": dataclasses.asdict(cfg),
     }
-    exit_code = EXIT_OK
-    try:
-        numeric = capacity_numeric(h, cfg)
-    except NoConvergence as err:
-        numeric = err.best_result
-        exit_code = EXIT_NO_CONVERGENCE
+    numeric = capacity_numeric(h, cfg)
     payload["numeric"] = _result_obj(numeric)
     value = numeric.value
     if dim == 2:
@@ -136,7 +131,7 @@ def cmd_capacity(args) -> int:
               file=sys.stderr)
     if args.out:
         _write_text(args.out, dumps_17(payload))
-    return exit_code
+    return EXIT_OK if numeric.converged else EXIT_NO_CONVERGENCE
 
 
 def cmd_optimal(args) -> int:
@@ -164,9 +159,9 @@ def cmd_evolve(args) -> int:
     if kind == "pure":
         psi = validate_pure_state(state)
         state = np.outer(psi, psi.conj())
-    ham = validate_hermitian(parse_matrix_text(_read_text(args.hamiltonian)))
+    ham = parse_matrix_text(_read_text(args.hamiltonian))
     grid = _parse_grid(args.grid)
-    traj = trajectory(state, ham, grid)  # validates the density matrix
+    traj = trajectory(state, ham, grid)  # validates the density matrix and H
     peak = int(np.argmax(traj.coherence))
     print(f"max coherence {traj.coherence[peak]:.12g} bits "
           f"at t = {traj.times[peak]:.12g} ({len(traj)} samples)")

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Validation failures subclass ``ValueError`` so that callers who do not care
-about the fine-grained reason can catch the base class; solver failures
-are ``ConvergenceFailure``, a ``RuntimeError``.
+about the fine-grained reason can catch the base class.  An eigensolve
+that fails raises ``ConvergenceFailure``, a ``RuntimeError``.  A capacity
+solve that does not converge is not an error: it returns its best result
+with ``converged`` false.
 """
 
 
@@ -43,22 +45,4 @@ class ZeroCommutator(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """An iterative routine exceeded its iteration cap."""
-
-
-class NoConvergence(ConvergenceFailure):
-    """No solver restart reached the gradient tolerance.
-
-    A :class:`ConvergenceFailure`, so one handler covers every iterative
-    routine.  The best value found is still attached so callers can inspect
-    it::
-
-        try:
-            res = capacity_numeric(H, cfg)
-        except NoConvergence as err:
-            res = err.best_result
-    """
-
-    def __init__(self, message, best_result=None):
-        super().__init__(message)
-        self.best_result = best_result
+    """An eigendecomposition did not converge."""

@@ -10,7 +10,6 @@ import cohgen.capacity as capacity
 from cohgen import (
     DimensionMismatch,
     InvalidGamma,
-    NoConvergence,
     NotHermitian,
     ResolutionTooLarge,
     SolverConfig,
@@ -406,12 +405,9 @@ def test_numeric_deterministic_by_seed():
 def test_numeric_starved_solver_reports_payload(monkeypatch):
     h = random_hermitian(2, np.random.default_rng(3))
     monkeypatch.setattr(capacity, "_MAX_ITERS", 1)
-    with pytest.raises(NoConvergence) as err:
-        capacity_numeric(h, SolverConfig(restarts=1, seed=0))
-    best = err.value.best_result
-    assert best is not None
-    assert best.converged is False
-    assert 0.0 <= best.value <= capacity_qubit(h).value + 1e-9
+    res = capacity_numeric(h, SolverConfig(restarts=1, seed=0))
+    assert res.converged is False
+    assert 0.0 <= res.value <= capacity_qubit(h).value + 1e-9
 
 
 # Scalar reference: the one-restart-at-a-time ascent that `_armijo_ascent`
@@ -592,12 +588,7 @@ def test_batched_restarts_match_scalar_reference(h, cfg, max_iters, monkeypatch)
     if max_iters is not None:
         monkeypatch.setattr(capacity, "_MAX_ITERS", max_iters)
     ref_value, ref_converged = _ref_capacity(h, cfg)
-    if ref_converged:
-        res = capacity_numeric(h, cfg)
-    else:
-        with pytest.raises(NoConvergence) as err:
-            capacity_numeric(h, cfg)
-        res = err.value.best_result
+    res = capacity_numeric(h, cfg)
     assert res.converged is ref_converged
     assert abs(res.value - ref_value) <= 1e-12
 
@@ -645,25 +636,17 @@ def _scale_bound(monkeypatch, factor):
     monkeypatch.setattr(capacity, "max_surprisal_variance", scaled)
 
 
-def _solve(h, cfg):
-    """(raised, value, argmax_state, converged, min_diag) of one solve."""
-    try:
-        res, raised = capacity_numeric(h, cfg), False
-    except NoConvergence as err:
-        res, raised = err.best_result, True
-    return raised, res.value, res.argmax_state, res.converged, res.min_diag
-
-
 def _assert_same_solve(a, b):
-    assert a[:2] == b[:2] and a[3:] == b[3:]
-    assert np.array_equal(a[2], b[2])
+    """The same solve but for ``upper_bound``, which a scaled ceiling moves."""
+    assert (a.value, a.converged, a.min_diag) == (b.value, b.converged, b.min_diag)
+    assert np.array_equal(a.argmax_state, b.argmax_state)
 
 
 def _ceiling_free(h, cfg):
     """The solve with an infinite ceiling: the ascent that never certifies."""
     with pytest.MonkeyPatch.context() as mp:
         _scale_bound(mp, math.inf)
-        return _solve(h, cfg)
+        return capacity_numeric(h, cfg)
 
 
 @pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
@@ -676,10 +659,10 @@ def test_a_wrong_bound_never_stops_a_solve(factor, monkeypatch):
              (random_hermitian(2, rng, hs_normalized=True), SolverConfig(7, 5)),
              (ZIGZAG_H, ZIGZAG_CFG)]
     expected = [_ceiling_free(h, cfg) for h, cfg in cases]
-    assert expected[-1][0]  # the zig-zag solve raises without its ceiling
+    assert not expected[-1].converged  # zig-zag: unconverged without its ceiling
     _scale_bound(monkeypatch, factor)
     for (h, cfg), want in zip(cases, expected):
-        _assert_same_solve(_solve(h, cfg), want)
+        _assert_same_solve(capacity_numeric(h, cfg), want)
 
 
 @pytest.mark.parametrize("seed, group", [(0, 0), (310, 0)])
@@ -692,7 +675,7 @@ def test_random_benchmark_hamiltonians_never_certify(seed, group, tmp_path):
             cfg = SolverConfig(restarts=int(argv[argv.index("--restarts") + 1]),
                                seed=int(argv[argv.index("--seed") + 1]))
             h = validate_hermitian(req.meta["hamiltonian"])
-            _assert_same_solve(_solve(h, cfg), _ceiling_free(h, cfg))
+            _assert_same_solve(capacity_numeric(h, cfg), _ceiling_free(h, cfg))
 
 
 def test_batched_exit_at_max_iters_matches_reference(monkeypatch):
@@ -704,8 +687,7 @@ def test_batched_exit_at_max_iters_matches_reference(monkeypatch):
     _, conv, steps = _ref_ascend_pure(validate_hermitian(h), psi0)
     assert conv and steps > 1
     monkeypatch.setattr(capacity, "_MAX_ITERS", steps)
-    with pytest.raises(NoConvergence):
-        capacity_numeric(h, cfg)
+    assert capacity_numeric(h, cfg).converged is False
     monkeypatch.setattr(capacity, "_MAX_ITERS", steps + 1)
     assert capacity_numeric(h, cfg).converged
 
@@ -757,11 +739,19 @@ def test_numeric_same_value_for_equivalent_forms(s):
     phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 32))
     values = []
     for form in (h, h[np.ix_(perm, perm)], phase[:, None] * h * phase.conj()[None, :], -h.conj()):
-        try:
-            values.append(capacity_numeric(form, SolverConfig(restarts=32, seed=s)).value)
-        except NoConvergence as err:
-            values.append(err.best_result.value)
+        values.append(capacity_numeric(form, SolverConfig(restarts=32, seed=s)).value)
     assert max(values) - min(values) <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the gradient tolerance is absolute, "
+                                       "so no restart converges on a large-norm H")
+@pytest.mark.parametrize("d, s", [(d, s) for d in (3, 4, 8) for s in range(3)])
+def test_numeric_converges_on_a_large_norm_hamiltonian(d, s):
+    # These H converge at ‖H‖₂ = 3e6.  At 3e7 the value is still right, but
+    # the noise floor of the gradient, which grows with the value, sits
+    # above the fixed _GRAD_TOL, so every restart stalls unconverged.
+    h = random_hermitian(d, np.random.default_rng([d, s]), hs_normalized=True)
+    assert capacity_numeric(3e7 * h).converged
 
 
 def test_numeric_rejects_1x1():

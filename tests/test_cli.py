@@ -15,9 +15,6 @@ import cohgen.cli
 import cohgen.verify
 from cohgen import (
     ConvergenceFailure,
-    NoConvergence,
-    SolverConfig,
-    capacity_numeric,
     optimal_hamiltonian,
     rel_entropy_coherence,
 )
@@ -129,21 +126,16 @@ def test_capacity_certifies_the_zigzag_qubits(seed, group, tmp_path):
     assert rep["qubit"]["upper_bound"] == rep["qubit"]["value"]
 
 
-def test_no_convergence_is_a_convergence_failure(monkeypatch, capsys):
-    # `capacity` itself still exits 3 with its report written (see the
-    # starved-solver test above); any other verb falls to main's handler.
-    assert issubclass(NoConvergence, ConvergenceFailure)
-    monkeypatch.setattr(cohgen.capacity, "_MAX_ITERS", 1)
-    with pytest.raises(ConvergenceFailure) as err:
-        capacity_numeric(optimal_hamiltonian(2), SolverConfig(restarts=1))
-    assert err.value.best_result.converged is False
+def test_convergence_failure_from_any_verb_exits_3(monkeypatch, capsys):
+    # `capacity` exits 3 by its result's `converged` flag (see the
+    # starved-solver test above); a ConvergenceFailure, an eigensolve that
+    # failed, falls to main's handler from any verb.
+    def failed_eigensolve(level, seed):
+        raise ConvergenceFailure("eigendecomposition did not converge")
 
-    def unconverged(level, seed):
-        raise NoConvergence("no restart converged")
-
-    monkeypatch.setattr(cohgen.cli, "timed_checks", unconverged)
+    monkeypatch.setattr(cohgen.cli, "timed_checks", failed_eigensolve)
     assert main(["verify", "fast"]) == 3
-    assert "no restart converged" in capsys.readouterr().err
+    assert "eigendecomposition did not converge" in capsys.readouterr().err
 
 
 def test_capacity_report_config_is_restarts_and_seed(tmp_path):
@@ -235,6 +227,15 @@ def test_evolve_bad_grid(tmp_path):
     assert main(["evolve", s, h, "--grid", "5:1:3", "--out", str(tmp_path / "x")]) == 2
     assert main(["evolve", s, h, "--grid", "0:1:0", "--out", str(tmp_path / "x")]) == 2
     assert main(["evolve", s, h, "--grid", "oops", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_evolve_non_hermitian_hamiltonian_exits_2(tmp_path, capsys):
+    h = _write_matrix(tmp_path / "h.json", [[0.0, 1.0], [0.0, 0.0]])
+    s = _write_vector(tmp_path / "s.json", np.array([1.0, 0.0]))
+    out = tmp_path / "t.csv"
+    assert main(["evolve", s, h, "--grid", "0:1:3", "--out", str(out)]) == 2
+    assert "deviates from its conjugate transpose by 1.000e+00" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_gamma_summary(tmp_path):

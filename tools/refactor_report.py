@@ -16,9 +16,10 @@ SRC is the root of a checkout (it holds ``src/cohgen`` and
   wall times there).  The runs are ``verify fast --seed 0..49``, ``verify
   full --seed 0`` and ``--seed 7``, the verify requests of benchmark seeds
   0 and 310 for groups 0..599, ``capacity`` and ``evolve`` for benchmark
-  groups (0, 0), (0, 1), (310, 0) and (1, 5), ``optimal`` for d = 2..32
-  and ``scan-gamma`` for d = 2, 3, 7 and 40.  The benchmark requests are
-  built by ``SRC/perfbench/workloads.py``.
+  groups (0, 0), (0, 1), (310, 0) and (1, 5), ``capacity`` on one 3×3 H
+  of norm about 6e7 that exits 3 (no restart converges), ``optimal`` for
+  d = 2..32 and ``scan-gamma`` for d = 2, 3, 7 and 40.  The benchmark
+  requests are built by ``SRC/perfbench/workloads.py``.
 
 A refactor that keeps every output runs this on its parent checkout and on
 itself and compares the two files: ``diff`` shows only the line counts that
@@ -42,6 +43,14 @@ import tokenize
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+# A large-norm H on which no restart meets the absolute gradient tolerance,
+# so ``capacity`` takes its non-convergence path.
+_LARGE_NORM_H = json.dumps({
+    "dim": 3,
+    "re": [[0, 20000000, 10000000], [20000000, 5000000, 30000000],
+           [10000000, 30000000, -5000000]],
+    "im": [[0, 10000000, 0], [-10000000, 0, -20000000], [0, 20000000, 0]],
+})
 
 
 def _docstring_lines(tree) -> set:
@@ -128,6 +137,9 @@ def _requests(workloads, workdir: str):
             for req in make(seed, group, workdir):
                 yield (f"{make.__name__} {seed} {group} {req.kind} {req.dim}",
                        req.argv, req.files, [req.out])
+    yield ("capacity large-norm exit 3",
+           ["capacity", out("h.json"), "--out", out("c.json")],
+           {out("h.json"): _LARGE_NORM_H}, [out("c.json")])
     for d in range(2, 33):
         yield (f"optimal --dim {d}",
                ["optimal", "--dim", str(d), "--out", out("o.json")], {}, [out("o.json")])
