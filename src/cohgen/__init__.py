@@ -41,12 +41,10 @@ from .dynamics import (
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
-    InvalidGamma,
     NotHermitian,
     NotPSD,
     NotUnitTrace,
     ParseError,
-    ResolutionTooLarge,
     SingularState,
     ZeroCommutator,
 )
@@ -76,12 +74,10 @@ __all__ = [
     "DimensionMismatch",
     "GammaResult",
     "GridSearchResult",
-    "InvalidGamma",
     "NotHermitian",
     "NotPSD",
     "NotUnitTrace",
     "ParseError",
-    "ResolutionTooLarge",
     "SingularState",
     "SolverConfig",
     "SolverMethod",

@@ -21,20 +21,14 @@ test suite to confirm the family is not beaten anywhere on the simplex.
 """
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .coherence import coherence_commutator, coherence_derivative, surprisal_variance
-from .errors import (
-    DimensionMismatch,
-    InvalidGamma,
-    ResolutionTooLarge,
-    ZeroCommutator,
-)
-from .linalg import hs_norm, validate_hermitian
+from .errors import DimensionMismatch, ZeroCommutator
+from .linalg import _is_int, hs_norm, validate_hermitian
 from .sampling import random_pure_state
 
 LN2 = math.log(2.0)
@@ -72,7 +66,7 @@ class SolverConfig:
 def _validate_config(cfg: SolverConfig):
     for name, low in (("restarts", 1), ("seed", 0)):
         value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        if not _is_int(value, low):
             raise ValueError(f"{name} must be an integer ≥ {low}, got {value}")
 
 
@@ -138,10 +132,8 @@ def _bisect_root(phi, lo: float, hi: float) -> float:
 
 
 def _check_dim(d: int):
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
-        raise DimensionMismatch(f"dimension must be an integer, got {d!r}")
-    if d < 2:
-        raise DimensionMismatch(f"dimension must be ≥ 2, got {d}")
+    if not _is_int(d, 2):
+        raise DimensionMismatch(f"dimension must be an integer ≥ 2, got {d!r}")
 
 
 def _qubit_g(x: float) -> float:
@@ -219,7 +211,7 @@ def optimal_state(d: int, gamma: float) -> np.ndarray:
     """Pure state sqrt(γ)|0⟩ + sqrt((1-γ)/(d-1)) Σ_{i≥1}|i⟩ as an amplitude vector."""
     _check_dim(d)
     if not 0.0 < gamma < 1.0:
-        raise InvalidGamma(f"gamma must lie in (0, 1), got {gamma}")
+        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
     amp = np.full(d, math.sqrt((1.0 - gamma) / (d - 1)), dtype=np.complex128)
     amp[0] = math.sqrt(gamma)
     amp.setflags(write=False)
@@ -523,18 +515,14 @@ def simplex_grid_oracle(d: int, resolution: int) -> GridSearchResult:
     two-level-family claim, so it must not share machinery with
     :func:`max_surprisal_variance`; f is the generic
     :func:`cohgen.coherence.surprisal_variance` of all grid points at once.
-    A non-integer d raises ``DimensionMismatch``; a non-integer or ``bool``
-    resolution raises ``ValueError``.
+    A non-integer d raises ``DimensionMismatch``; a resolution that is not
+    an integer in [1, 400] (a ``bool`` included) raises ``ValueError``.
     """
     _check_dim(d)
     if d not in (2, 3):
         raise ValueError(f"grid oracle supports d in {{2, 3}}, got {d}")
-    if isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral):
-        raise ValueError(f"resolution must be an integer, got {resolution!r}")
-    if resolution > 400:
-        raise ResolutionTooLarge(f"resolution {resolution} exceeds the cap of 400")
-    if resolution < 1:
-        raise ValueError(f"resolution must be ≥ 1, got {resolution}")
+    if not _is_int(resolution, 1, 400):
+        raise ValueError(f"resolution must be an integer in [1, 400], got {resolution!r}")
     counts = []
     for cuts in combinations(range(resolution + d - 1), d - 1):
         edges = (-1,) + cuts + (resolution + d - 1,)

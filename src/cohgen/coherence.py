@@ -16,8 +16,8 @@ stacked call gives, bit for bit, what the calls on each state alone give.
 """
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
-from .linalg import _unstack, hs_inner
+from .errors import NotHermitian
+from .linalg import _same_shape, _unstack, hs_inner
 
 ZERO_DIAG_TOL = 1e-14
 
@@ -112,10 +112,7 @@ def coherence_derivative(hamiltonian, rho) -> float:
     """
     hamiltonian = np.asarray(hamiltonian, dtype=np.complex128)
     rho = np.asarray(rho, dtype=np.complex128)
-    if hamiltonian.shape != rho.shape:
-        raise DimensionMismatch(
-            f"shape mismatch {hamiltonian.shape} vs {rho.shape}"
-        )
+    _same_shape(hamiltonian, rho)
     val = np.asarray(hs_inner(hamiltonian, coherence_commutator(rho)))
     # i[ρ, log₂Δ(ρ)] is Hermitian, so the pairing is real for Hermitian H
     residue = val.imag.reshape(-1)

@@ -19,17 +19,26 @@ the von Neumann equation, which vanishes for unitary dynamics.
 stacks of pairs, ρ and H of one shape (..., d, d): every pair is validated
 and the results are arrays with one entry per pair, bit for bit the
 single-pair results.  ``evolve`` and ``trajectory`` take one pair.
+
+All four check their input in one order, and compute only after it: the
+scalar parameter (the time, the time grid or the step), then ρ through
+:func:`cohgen.linalg.validate_density`, then H through
+:func:`cohgen.linalg.eig_hermitian` (the entropy rate, which needs H
+itself, through the same Hermiticity check without the eigensolve), then
+that ρ and H have one shape.  ``evolve`` and ``trajectory`` first require
+each operand to be one matrix.  Each operand is checked once, and a call
+with two faults reports the first in this order.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coherence import ZERO_DIAG_TOL, _entropy_bits, rel_entropy_coherence
-from .errors import DimensionMismatch, SingularState
+from .errors import SingularState
 from .linalg import (
     _adjoint,
-    _as_square_complex,
-    _as_square_stack,
+    _one_matrix,
+    _same_shape,
     _unstack,
     _validate_hermitian_stack,
     eig_hermitian,
@@ -60,14 +69,12 @@ class Trajectory:
         return len(self.times)
 
 
-def _check_shapes(rho, hamiltonian, as_square=_as_square_complex):
-    """Square, finite operands of one shape (``DimensionMismatch`` / ``ValueError``);
-    ``as_square=_as_square_stack`` also admits stacks."""
-    rho = as_square(rho)
-    hamiltonian = as_square(hamiltonian)
-    if rho.shape != hamiltonian.shape:
-        raise DimensionMismatch(f"shape mismatch {rho.shape} vs {hamiltonian.shape}")
-    return rho, hamiltonian
+def _validated_pair(rho, hamiltonian):
+    """The validated ρ and the eigendecomposition of H, for operands of one shape."""
+    rho = validate_density(rho)
+    lam, vec = eig_hermitian(hamiltonian)
+    _same_shape(rho, vec)
+    return rho, lam, vec
 
 
 def _rotate(rho, lam, vec, t: float) -> np.ndarray:
@@ -78,12 +85,12 @@ def _rotate(rho, lam, vec, t: float) -> np.ndarray:
 
 
 def evolve(rho, hamiltonian, t: float) -> np.ndarray:
-    """Conjugate ρ by exp(-i t H); the result is revalidated as a density matrix."""
-    rho, hamiltonian = _check_shapes(rho, hamiltonian)
+    """Conjugate ρ by exp(-i t H), once ρ has passed as a density matrix
+    and H as Hermitian; a new array, not a validated copy."""
     if not np.isfinite(t):
         raise ValueError(f"evolution time must be finite, got {t}")
-    lam, vec = eig_hermitian(hamiltonian)
-    return validate_density(_rotate(rho, lam, vec, t))
+    rho, lam, vec = _validated_pair(_one_matrix(rho), _one_matrix(hamiltonian))
+    return _rotate(rho, lam, vec, t)
 
 
 def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
@@ -108,8 +115,6 @@ def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
     not grow with the grid.  ρ is validated once at entry, like in
     :func:`fd_derivative`.
     """
-    rho, hamiltonian = _check_shapes(rho, hamiltonian)
-    rho = validate_density(rho)
     t_grid = np.asarray(t_grid, dtype=np.float64).reshape(-1)
     if t_grid.size == 0:
         raise ValueError("time grid is empty")
@@ -117,7 +122,7 @@ def trajectory(rho, hamiltonian, t_grid) -> Trajectory:
         raise ValueError("time grid must be finite")
     if not (t_grid[1:] > t_grid[:-1]).all():
         raise ValueError("time grid must be strictly ascending")
-    lam, vec = eig_hermitian(hamiltonian)
+    rho, lam, vec = _validated_pair(_one_matrix(rho), _one_matrix(hamiltonian))
     rho_eig = vec.conj().T @ rho @ vec
     mu, u = np.linalg.eigh((rho_eig + rho_eig.conj().T) / 2)
     above = mu - mu[0]
@@ -146,9 +151,7 @@ def fd_derivative(rho, hamiltonian, h: float) -> float:
     """
     if not 0.0 < h <= 0.1:
         raise ValueError(f"finite-difference step must lie in (0, 0.1], got {h}")
-    rho, hamiltonian = _check_shapes(rho, hamiltonian, _as_square_stack)
-    lam, vec = eig_hermitian(hamiltonian)
-    rho = validate_density(rho)
+    rho, lam, vec = _validated_pair(rho, hamiltonian)
     plus = rel_entropy_coherence(_rotate(rho, lam, vec, h))
     minus = rel_entropy_coherence(_rotate(rho, lam, vec, -h))
     return (plus - minus) / (2 * h)
@@ -162,14 +165,14 @@ def entropy_derivative_check(rho, hamiltonian) -> float:
     the numerics reproduce that.  A stack of pairs gives an array of rates;
     every state of it must be full rank.
     """
-    rho, hamiltonian = _check_shapes(rho, hamiltonian, _as_square_stack)
+    rho = validate_density(rho)
+    hamiltonian = _validate_hermitian_stack(hamiltonian)
+    _same_shape(rho, hamiltonian)
     lam, vec = np.linalg.eigh(rho)
     if lam.min() < 1e-10:
         raise SingularState(
             f"state eigenvalue {lam.min():.3e} below 1e-10; log₂ρ is not finite"
         )
-    _validate_hermitian_stack(hamiltonian)
-    validate_density(rho)
     log_rho = (vec * np.log2(lam)[..., None, :]) @ _adjoint(vec)
     rho_dot = -1j * (hamiltonian @ rho - rho @ hamiltonian)
     return _unstack(-np.trace(rho_dot @ log_rho, axis1=-2, axis2=-1).real)

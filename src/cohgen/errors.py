@@ -1,10 +1,13 @@
 """Exception types shared across the package.
 
 Validation failures subclass ``ValueError`` so that callers who do not care
-about the fine-grained reason can catch the base class.  An eigensolve
-that fails raises ``ConvergenceFailure``, a ``RuntimeError``.  A capacity
-solve that does not converge is not an error: it returns its best result
-with ``converged`` false.
+about the fine-grained reason can catch the base class.  The subclasses name
+what is wrong with an operand (a matrix, a state, a shape or a dimension) or
+with an input file; a parameter out of its range, such as a weight γ or a
+grid resolution, raises ``ValueError`` itself, as do NaN or Inf entries.  An
+eigensolve that fails raises ``ConvergenceFailure``, a ``RuntimeError``.  A
+capacity solve that does not converge is not an error: it returns its best
+result with ``converged`` false.
 """
 
 
@@ -22,14 +25,6 @@ class NotPSD(ValueError):
 
 class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
-
-
-class InvalidGamma(ValueError):
-    """Weight parameter outside the open interval (0, 1)."""
-
-
-class ResolutionTooLarge(ValueError):
-    """Requested simplex grid is beyond the supported size."""
 
 
 class SingularState(ValueError):

@@ -13,7 +13,18 @@ matrices flattened to rows, shape (..., 1, d²), not a loop over matrices.
 ``validate_hermitian`` takes one matrix, because the solver's entry points
 rely on it to reject anything else; ``_validate_hermitian_stack`` is its
 stacked form.
+
+Each input rule is written once here and each operand meets it once per
+public call: ``_one_matrix`` (exactly one matrix: a 2-D array, checked
+first), ``_as_square_stack`` (non-empty square matrices with finite
+entries), ``_validate_hermitian_stack`` (Hermiticity, which
+``validate_density`` reuses), ``_same_shape`` (two operands of one shape)
+and ``_is_int`` (an integer in a range, for dimensions, ranks, counts and
+seeds).  Shapes come first, then finiteness, then the invariants; a
+parameter out of its range raises ``ValueError`` itself.
 """
+import numbers
+
 import numpy as np
 
 from .errors import (
@@ -39,11 +50,26 @@ def _as_square_stack(m) -> np.ndarray:
     return m
 
 
-def _as_square_complex(m) -> np.ndarray:
+def _one_matrix(m) -> np.ndarray:
+    """A complex 2-D array: the rule that admits one matrix and no stack,
+    run before :func:`_as_square_stack`."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return _as_square_stack(m)
+    return m
+
+
+def _same_shape(a: np.ndarray, b: np.ndarray):
+    """``DimensionMismatch`` unless two operands have one shape."""
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+
+
+def _is_int(value, low, high=np.inf) -> bool:
+    """Whether ``value`` is an integer, numpy's included and never a
+    ``bool``, in [low, high]."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value <= high)
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -77,7 +103,7 @@ def validate_hermitian(m) -> np.ndarray:
     downstream eigensolves see an exactly Hermitian operator.  The returned
     array is a read-only copy.
     """
-    return _validate_hermitian_stack(_as_square_complex(m))
+    return _validate_hermitian_stack(_one_matrix(m))
 
 
 def validate_density(m) -> np.ndarray:
@@ -87,20 +113,17 @@ def validate_density(m) -> np.ndarray:
     only the checks are performed.  Raises the error naming the first violated
     invariant together with the worst offending magnitude.  A stack of
     matrices is checked matrix by matrix; the error then names the worst
-    offence against the first invariant that any of them violates.
+    offence against the first invariant that any of them violates.  The
+    Hermiticity check is :func:`validate_hermitian`'s, and the eigenvalue
+    test runs on the symmetrized matrix it returns.
     """
-    m = _as_square_stack(m)
-    dev = np.abs(m - _adjoint(m)).max()
-    if dev > HERM_TOL:
-        raise NotHermitian(
-            f"density matrix deviates from Hermiticity by {dev:.3e} "
-            f"(tolerance {HERM_TOL:.1e})"
-        )
+    m = np.asarray(m, dtype=np.complex128)
+    sym = _validate_hermitian_stack(m)
     tr = np.trace(m, axis1=-2, axis2=-1).reshape(-1)
     k = int(np.abs(tr - 1.0).argmax())
     if abs(tr[k] - 1.0) > TRACE_TOL:
         raise NotUnitTrace(f"trace is {tr[k].real:.17g}, deviation {abs(tr[k] - 1.0):.3e}")
-    smallest = np.linalg.eigvalsh((m + _adjoint(m)) / 2)[..., 0].min()
+    smallest = np.linalg.eigvalsh(sym)[..., 0].min()
     if smallest < -PSD_TOL:
         raise NotPSD(f"smallest eigenvalue {smallest:.3e} below -{PSD_TOL:.1e}")
     # ρ_ii ρ_jj ≥ |ρ_ij|² holds for any PSD matrix; with the eigenvalue test
@@ -170,9 +193,10 @@ def unitary_exp(h, t: float) -> np.ndarray:
     No cohgen module calls it (``dynamics`` rotates in the eigenbasis
     itself), but it stays public: it is the one-call form of the evolution
     operator, and the benchmark's per-layer tracer (``perfbench/tracing.py``)
-    wraps it by name, so removing it would break ``--trace 1`` runs.
+    wraps it by name, so removing it would break ``--trace 1`` runs.  It
+    takes one matrix: a stack raises ``DimensionMismatch``.
     """
-    lam, vec = eig_hermitian(h)
+    lam, vec = eig_hermitian(_one_matrix(h))
     return (vec * np.exp(-1j * lam * t)) @ vec.conj().T
 
 
@@ -203,6 +227,5 @@ def hs_inner(a, b):
     the rows, the sum ``np.vdot`` forms."""
     a = _as_square_stack(a)
     b = _as_square_stack(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+    _same_shape(a, b)
     return _unstack((_rows(a).conj() @ _rows(b).swapaxes(-1, -2))[..., 0, 0])

@@ -11,11 +11,9 @@ rounds of ``operands`` calls of :func:`random_hermitian` /
 :func:`random_density` (rank d) would draw, in that order; the stacked
 functions then give those calls' matrices bit for bit.
 """
-import numbers
-
 import numpy as np
 
-from .linalg import hs_norm
+from .linalg import _is_int, hs_norm
 
 
 def _ginibre(d: int, k: int, rng) -> np.ndarray:
@@ -77,7 +75,7 @@ def random_density(d: int, rng, rank: int | None = None, mix: float = 0.0) -> np
     """
     if rank is None:
         rank = d
-    if isinstance(rank, bool) or not isinstance(rank, numbers.Integral) or not 1 <= rank <= d:
+    if not _is_int(rank, 1, d):
         raise ValueError(f"rank must be an integer in [1, {d}], got {rank!r}")
     if not 0.0 <= mix <= 1.0:  # also rejects NaN
         raise ValueError(f"mix must lie in [0, 1], got {mix}")

@@ -68,6 +68,14 @@ def test_evolve_dim_mismatch():
         evolve(np.diag([0.5, 0.5]), np.eye(3), 1.0)
 
 
+def test_evolve_and_trajectory_take_one_pair():
+    rho_stack, h_stack = np.array([np.eye(2) / 2] * 2), np.array([SY] * 2)
+    for call in (lambda r, h: evolve(r, h, 0.5), lambda r, h: trajectory(r, h, [0.0, 1.0])):
+        for rho, h in ((rho_stack, SY), (np.eye(2) / 2, h_stack), (rho_stack, h_stack)):
+            with pytest.raises(DimensionMismatch):
+                call(rho, h)
+
+
 def test_trajectory_single_point_grid():
     rng = np.random.default_rng(1)
     rho = random_density(2, rng)
@@ -262,6 +270,8 @@ def test_fd_oracles_diagonalize_and_validate_once(monkeypatch):
     assert calls == {"eig": 1, "density": 2}
     trajectory(rho, h, np.linspace(0.0, 1.0, 50))
     assert calls == {"eig": 2, "density": 3}
+    evolve(rho, h, 0.5)
+    assert calls == {"eig": 3, "density": 4}
 
 
 def test_fd_oracles_reject_invalid_states():
@@ -330,6 +340,19 @@ def test_entropy_check_rejects_singular_state():
     psi = np.array([0.6, 0.8])
     with pytest.raises(SingularState):
         entropy_derivative_check(np.outer(psi, psi), np.eye(2))
+
+
+def test_entropy_check_validates_the_state_before_diagonalizing_it():
+    # eigh reads one triangle only: diagonalized before validation, this
+    # non-Hermitian state looked singular and raised SingularState
+    rho = np.array([[0.5, 0.1], [0.5, 0.5]])
+    with pytest.raises(NotHermitian):
+        entropy_derivative_check(rho, np.eye(2))
+    rng = np.random.default_rng(16)
+    stack = np.array([random_density(2, rng, mix=0.2) for _ in range(3)])
+    stack[1] = rho
+    with pytest.raises(NotHermitian):
+        entropy_derivative_check(stack, np.array([np.eye(2)] * 3))
 
 
 def test_fd_oracles_on_stacks_give_the_single_pair_bits():

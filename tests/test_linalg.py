@@ -1,15 +1,22 @@
 import numpy as np
 import pytest
 
+import cohgen.linalg
 from cohgen import (
     DimensionMismatch,
     NotHermitian,
     NotPSD,
     NotUnitTrace,
+    coherence_derivative,
     eig_hermitian,
+    entropy_derivative_check,
+    evolve,
+    fd_derivative,
     hs_inner,
     hs_norm,
+    random_density,
     random_hermitian,
+    trajectory,
     unitary_exp,
     validate_density,
     validate_hermitian,
@@ -73,6 +80,58 @@ def test_non_square_and_non_finite_rejected():
         validate_hermitian(np.array([[np.nan, 0], [0, 0]]))
     with pytest.raises(ValueError):
         validate_density(np.array([[np.inf, 0], [0, 1]]))
+
+
+def test_validate_hermitian_and_unitary_exp_take_one_matrix():
+    # a stack is rejected by the 2-D rule, which runs before the finiteness
+    # check, so a NaN stack is a shape error too
+    for stack in (np.zeros((2, 2, 2)), np.full((2, 2, 2), np.nan)):
+        with pytest.raises(DimensionMismatch):
+            validate_hermitian(stack)
+        with pytest.raises(DimensionMismatch):
+            unitary_exp(stack, 0.5)
+
+
+def test_validate_density_shares_the_hermiticity_check():
+    m = np.array([[0.5, 0.5], [0.0, 0.5]])
+    messages = set()
+    for validate in (validate_density, validate_hermitian):
+        with pytest.raises(NotHermitian) as exc:
+            validate(m)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+
+
+def test_each_operand_is_shape_checked_once(monkeypatch):
+    # every matrix operand meets the square-and-finite rule exactly once per
+    # call, however many validators the call goes through
+    shapes = []
+    as_square = cohgen.linalg._as_square_stack
+
+    def counted(m):
+        shapes.append(np.shape(m))
+        return as_square(m)
+
+    monkeypatch.setattr(cohgen.linalg, "_as_square_stack", counted)
+    rng = np.random.default_rng(15)
+    rho, h = random_density(3, rng, mix=0.2), random_hermitian(3, rng)
+    calls = {
+        validate_hermitian: (h,),
+        validate_density: (rho,),
+        eig_hermitian: (h,),
+        unitary_exp: (h, 0.5),
+        hs_norm: (h,),
+        hs_inner: (h, rho),
+        coherence_derivative: (h, rho),
+        evolve: (rho, h, 0.5),
+        trajectory: (rho, h, np.linspace(0.0, 1.0, 5)),
+        fd_derivative: (rho, h, 1e-3),
+        entropy_derivative_check: (rho, h),
+    }
+    for fn, args in calls.items():
+        shapes.clear()
+        fn(*args)
+        assert shapes == [(3, 3)] * sum(np.ndim(a) == 2 for a in args), fn.__name__
 
 
 def test_validate_pure_state():

@@ -1,5 +1,9 @@
+import contextlib
 import importlib.util
+import io
 import os
+
+from cohgen import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -91,3 +95,18 @@ def test_api_table_lists_fields_members_bases_and_signatures(tmp_path):
         "Point": ["x", "y"],
         "scale": "(p: api_module.Point, k: float = 2.0) -> api_module.Point",
     }
+
+
+def test_bad_input_runs_exit_2_and_write_no_file(tmp_path):
+    tool = _load_tool()
+    runs = list(tool.bad_input_requests(str(tmp_path)))
+    assert len(runs) == 5
+    for label, argv, files, outputs in runs:
+        for path, text in files.items():
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 2, label
+        assert stdout.getvalue() == "", label
+        assert not any(os.path.exists(path) for path in outputs), label

@@ -18,8 +18,12 @@ SRC is the root of a checkout (it holds ``src/cohgen`` and
   0 and 310 for groups 0..599, ``capacity`` and ``evolve`` for benchmark
   groups (0, 0), (0, 1), (310, 0) and (1, 5), ``capacity`` on one 3×3 H
   of norm about 6e7 that exits 3 (no restart converges), ``optimal`` for
-  d = 2..32 and ``scan-gamma`` for d = 2, 3, 7 and 40.  The benchmark
-  requests are built by ``SRC/perfbench/workloads.py``.
+  d = 2..32, ``scan-gamma`` for d = 2, 3, 7 and 40, and five runs on bad
+  input that exit 2 and write no file (``capacity`` of a non-Hermitian H,
+  ``evolve`` with a qubit state and a qutrit H, ``evolve`` with a NaN
+  state, ``optimal --dim 1`` and ``scan-gamma --dim 1``), so that a
+  refactor of validation is compared too.  The benchmark requests are
+  built by ``SRC/perfbench/workloads.py``.
 
 A refactor that keeps every output runs this on its parent checkout and on
 itself and compares the two files: ``diff`` shows only the line counts that
@@ -51,6 +55,12 @@ _LARGE_NORM_H = json.dumps({
            [10000000, 30000000, -5000000]],
     "im": [[0, 10000000, 0], [-10000000, 0, -20000000], [0, 20000000, 0]],
 })
+_QUBIT_STATE = json.dumps({"dim": 2, "re": [1, 0], "im": [0, 0]})
+_NAN_STATE = '{"dim": 2, "re": [[NaN, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}'
+_QUBIT_H = json.dumps({"dim": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]})
+_NON_HERMITIAN_H = json.dumps({"dim": 2, "re": [[0, 1], [0, 0]], "im": [[0, 0], [0, 0]]})
+_QUTRIT_H = json.dumps({"dim": 3, "re": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
+                        "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]})
 
 
 def _docstring_lines(tree) -> set:
@@ -117,6 +127,25 @@ def _load(path: str, name: str):
     return module
 
 
+def bad_input_requests(workdir: str):
+    """(label, argv, input files, output paths) of the runs that must exit 2."""
+    def out(name):
+        return os.path.join(workdir, name)
+
+    yield ("capacity non-Hermitian exit 2",
+           ["capacity", out("h.json"), "--out", out("c.json")],
+           {out("h.json"): _NON_HERMITIAN_H}, [out("c.json")])
+    evolve = ["evolve", out("state.json"), out("h.json"), "--grid", "0:1:5", "--out", out("t.csv")]
+    yield ("evolve dimension mismatch exit 2", evolve,
+           {out("state.json"): _QUBIT_STATE, out("h.json"): _QUTRIT_H}, [out("t.csv")])
+    yield ("evolve NaN state exit 2", evolve,
+           {out("state.json"): _NAN_STATE, out("h.json"): _QUBIT_H}, [out("t.csv")])
+    yield "optimal --dim 1 exit 2", ["optimal", "--dim", "1", "--out", out("o.json")], {}, [out("o.json")]
+    files = [out("s.csv"), out("s.json")]
+    yield ("scan-gamma --dim 1 exit 2",
+           ["scan-gamma", "--dim", "1", "--out", files[0], "--summary-out", files[1]], {}, files)
+
+
 def _requests(workloads, workdir: str):
     """(label, argv, input files, output paths) of every standard run."""
     def out(name):
@@ -148,6 +177,7 @@ def _requests(workloads, workdir: str):
         yield (f"scan-gamma --dim {d}",
                ["scan-gamma", "--dim", str(d), "--out", files[0], "--summary-out", files[1]],
                {}, files)
+    yield from bad_input_requests(workdir)
 
 
 def hash_outputs(root: str) -> dict:
