@@ -6,12 +6,16 @@ Hamiltonians a closed form reduces the problem to a 1-D maximization; for
 general dimension the maximization over pure states runs as projected
 gradient ascent on the complex unit sphere with random restarts.  A caller
 sets only the number of restarts and their seed (:class:`SolverConfig`); the
-first step, the gradient tolerance and the iteration limit are module
-constants.  Every result carries a proven ceiling on the capacity
-(``upper_bound``); the ascent ends as soon as a restart finishes on it, which
-happens for every qubit H and every matched H, never for a generic H at
-d ≥ 3 (see :func:`capacity_numeric`).  A solve that does not converge is no
-error: it returns its best result, with ``converged`` false.
+first step, the gradient tolerance (relative to ‖H‖₂ once that exceeds 1),
+the iteration limit and the stop rules' thresholds are module constants.  Every
+result carries a proven ceiling on the capacity (``upper_bound``); the
+ascent ends as soon as a restart finishes on it, which happens for every
+qubit H and every matched H, never for a generic H at d ≥ 3 (see
+:func:`capacity_numeric`).  There, once a restart converges, a restart
+still running stops, unconverged, when it has settled more than
+``_BEHIND_TOL`` (relative) below the best converged value.  A solve that
+does not converge is no error: it returns its best result, with
+``converged`` false.
 
 The module also provides the pieces of the capacity upper bound
 ``sqrt(2 max_p f(p))`` (f = surprisal variance): the two-level distribution
@@ -28,7 +32,7 @@ import numpy as np
 
 from .coherence import coherence_commutator, coherence_derivative, surprisal_variance
 from .errors import DimensionMismatch, ZeroCommutator
-from .linalg import _is_int, hs_norm, validate_hermitian
+from .linalg import _check_dim, _is_int, _is_real, hs_norm, validate_hermitian
 from .sampling import random_pure_state
 
 LN2 = math.log(2.0)
@@ -39,6 +43,8 @@ _MAX_ITERS = 2000       # accepted steps per restart
 _GRAD_TOL = 1e-9        # projected gradient norm that counts as converged
 _STEP_INIT = 0.1        # first trial step of every restart
 _CERT_TOL = 1e-14       # relative distance to the proven ceiling that ends a solve
+_BEHIND_TOL = 1e-2      # relative gap below the best converged value that stops a row
+_SETTLED_TOL = 1e-4     # gradient norm (times max(1, ‖H‖₂)) of a row that may stop behind
 
 
 class SolverMethod(enum.Enum):
@@ -131,11 +137,6 @@ def _bisect_root(phi, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_dim(d: int):
-    if not _is_int(d, 2):
-        raise DimensionMismatch(f"dimension must be an integer ≥ 2, got {d!r}")
-
-
 def _qubit_g(x: float) -> float:
     """sqrt(x(1-x)) log₂((1-x)/x); 2|H₁₀| times its max is the qubit capacity."""
     return math.sqrt(x * (1.0 - x)) * math.log2((1.0 - x) / x)
@@ -210,8 +211,8 @@ def max_surprisal_variance(d: int) -> GammaResult:
 def optimal_state(d: int, gamma: float) -> np.ndarray:
     """Pure state sqrt(γ)|0⟩ + sqrt((1-γ)/(d-1)) Σ_{i≥1}|i⟩ as an amplitude vector."""
     _check_dim(d)
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
+    if not _is_real(gamma, 0.0, 1.0, "()"):
+        raise ValueError(f"gamma must be a real number in (0, 1), got {gamma!r}")
     amp = np.full(d, math.sqrt((1.0 - gamma) / (d - 1)), dtype=np.complex128)
     amp[0] = math.sqrt(gamma)
     amp.setflags(write=False)
@@ -354,7 +355,7 @@ def _rho_from_factor(a: np.ndarray) -> np.ndarray:
     return (rho + rho.conj().swapaxes(-1, -2)) / 2
 
 
-def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, ceiling=math.inf):
+def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, ceiling=math.inf, scale=1.0):
     """Riemannian gradient ascent with Armijo backtracking, all restarts at once.
 
     ``x0`` holds one starting point per row; ``retract`` maps a stack of
@@ -366,24 +367,41 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, ceiling=math.inf):
     ``retract(x + s·grad)``, s starting at ``_STEP_INIT``, halve s on
     rejection (at most ``_MAX_BACKTRACKS`` times), and start the next line
     search at 2s if the first try was accepted, else at s.  A row stops when
-    its gradient norm reaches ``_GRAD_TOL`` (converged), when no step is
-    accepted (stalled) or after ``_MAX_ITERS`` accepted steps.  Each pass
+    its gradient norm reaches ``_GRAD_TOL``·max(1, ``scale``) (converged),
+    when no step is accepted (stalled), after ``_MAX_ITERS`` accepted steps
+    or when it falls behind (below).  ``scale`` is the size of the objective,
+    ‖H‖₂ for the capacity: the gradient's rounding noise grows with it, so an
+    absolute tolerance would never be met on a large H.  Each pass
     evaluates one candidate of every live row, whatever stage its line
-    search is at, so a solve costs as many passes as its slowest row has
-    candidates.  The gradient of an accepted candidate is that of the next
-    iterate, so it is never recomputed.
+    search is at, so a solve costs as many passes as its slowest live row
+    has candidates.  The gradient of an accepted candidate is that of the
+    next iterate, so it is never recomputed.
 
     ``ceiling`` is a proven upper bound C on the objective.  When a row
-    stops, for any of the three reasons, with its value within
+    stops converged, stalled or at the limit, with its value within
     ``_CERT_TOL``·C of C on either side, no other row can beat it by more
     than that: the row counts as converged and every live row stops where it
     is, unconverged.  The window is two-sided, so a value above C (a wrong
     bound) never stops the ascent.  The test runs only on passes where some
     row stops, so a pass costs the same with or without a ceiling.
 
+    Behind, the fourth stop reason, is tested on every pass once some row
+    has converged without certifying.  With B the best converged value so
+    far, a live row stops where it is, unconverged, when it has settled,
+    gradient norm at most ``_SETTLED_TOL``·max(1, ``scale``), on a value
+    below B − ``_BEHIND_TOL``·|B|.  Both conditions are needed: rows far
+    behind B do climb past it after a slow stretch near a saddle, where the
+    gradient norm fell to 6e-4 but not below 1e-4 in the probed solves, so
+    the value gap alone would drop the best restart of some solves.  Rows
+    are independent, so a kept row's iterates are the same as without the
+    rule.  The rule is a heuristic, checked by ``tools/prune_sweep.py``; a
+    solve in which no row converges never prunes.
+
     Returns the final points, their values and a converged flag per row.
     """
+    tol, settled = _GRAD_TOL * max(1.0, scale), _SETTLED_TOL * max(1.0, scale)
     low, high = (1.0 - _CERT_TOL) * ceiling, (1.0 + _CERT_TOL) * ceiling  # empty when infinite
+    best = -math.inf                    # best converged value so far
     x = retract(x0)
     value, grad = value_and_grad(x)
     gnorm = np.linalg.norm(grad.reshape(len(x), -1), axis=-1)
@@ -393,12 +411,17 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, ceiling=math.inf):
     s = np.full(len(x), _STEP_INIT)     # step of the row's next candidate
     k = np.zeros(len(x), dtype=int)     # backtracks so far in its line search
     iters = np.zeros(len(x), dtype=int)
-    conv = done = gnorm <= _GRAD_TOL
+    conv = done = gnorm <= tol
     while True:
         if done.any():
             on_bound = done & (value >= low) & (value <= high)
             if on_bound.any():
                 conv, done = conv | on_bound, np.ones_like(done)
+            elif conv.any():
+                best = max(best, float(value[conv].max()))
+        if best > -math.inf:
+            done = done | ((gnorm <= settled) & (value < best - _BEHIND_TOL * abs(best)))
+        if done.any():
             out_x[rows[done]], out_value[rows[done]] = x[done], value[done]
             converged[rows[done]] = conv[done]
             live = ~done
@@ -430,7 +453,7 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, ceiling=math.inf):
         s = np.where(ok, np.where(k == 0, 2.0 * s, s), 0.5 * s)
         k = np.where(ok, 0, k + 1)
         iters += ok
-        conv = ok & (gnorm <= _GRAD_TOL) & (iters < _MAX_ITERS)
+        conv = ok & (gnorm <= tol) & (iters < _MAX_ITERS)
         done = conv | (ok & (iters == _MAX_ITERS)) | (k == _MAX_BACKTRACKS)
 
 
@@ -443,9 +466,14 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     value.  Each ascent follows the analytic gradient of the coherence rate,
     projected to the unit sphere, with an Armijo backtracking line search.
     The restarts advance together as one (restarts, d) array
-    (:func:`_armijo_ascent`), one pass per line-search candidate, so the
-    cost is set by the slowest restart's iterations rather than the sum over
-    restarts, and a pass costs little more with 32 rows than with one.
+    (:func:`_armijo_ascent`), one pass per line-search candidate, and a pass
+    costs little more with 32 rows than with one.  So the cost is set by the
+    slowest restart still running, not by the sum over restarts: once a
+    restart converges, those that settle (gradient norm at most
+    ``_SETTLED_TOL``·max(1, ‖H‖₂)) more than ``_BEHIND_TOL`` below the best
+    converged value stop, so the tail is the slowest restart that stays
+    near the best or keeps climbing.  The gradient tolerance is
+    ``_GRAD_TOL``·max(1, ‖H‖₂).
 
     The ascent is also handed a proven ceiling, kept as ``upper_bound``:
     C = ‖H − diag H‖₂ · √(2 max_p f(p)), the second factor being
@@ -464,7 +492,7 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     stays well below C, so its solve runs exactly as it would without one.
 
     ``converged`` means some restart brought the gradient norm below
-    ``_GRAD_TOL`` or finished on the ceiling.  When neither happened within
+    that tolerance or finished on the ceiling.  When neither happened within
     ``_MAX_ITERS`` accepted steps the best-effort result still returns, with
     ``converged`` false.
     """
@@ -478,7 +506,7 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     rng = np.random.default_rng(cfg.seed)
     x0 = np.array([random_pure_state(d, rng) for _ in range(cfg.restarts)])
     x, values, converged = _armijo_ascent(
-        x0, lambda psi: _pure_value_and_grad(h, psi), _floor_renorm, ceiling
+        x0, lambda psi: _pure_value_and_grad(h, psi), _floor_renorm, ceiling, hs_norm(h)
     )
     best = int(np.argmax(values))  # the first of equal maxima
     best_rho = _rho_from_factor(x[best][:, None])

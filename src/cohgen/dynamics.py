@@ -37,6 +37,7 @@ from .coherence import ZERO_DIAG_TOL, _entropy_bits, rel_entropy_coherence
 from .errors import SingularState
 from .linalg import (
     _adjoint,
+    _is_real,
     _one_matrix,
     _same_shape,
     _unstack,
@@ -87,8 +88,8 @@ def _rotate(rho, lam, vec, t: float) -> np.ndarray:
 def evolve(rho, hamiltonian, t: float) -> np.ndarray:
     """Conjugate ρ by exp(-i t H), once ρ has passed as a density matrix
     and H as Hermitian; a new array, not a validated copy."""
-    if not np.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
+    if not _is_real(t, -np.inf, np.inf, "()"):
+        raise ValueError(f"evolution time must be a finite real number, got {t!r}")
     rho, lam, vec = _validated_pair(_one_matrix(rho), _one_matrix(hamiltonian))
     return _rotate(rho, lam, vec, t)
 
@@ -149,8 +150,8 @@ def fd_derivative(rho, hamiltonian, h: float) -> float:
     two matrix products and the coherence's eigensolve.  A stack of pairs
     gives an array of estimates.
     """
-    if not 0.0 < h <= 0.1:
-        raise ValueError(f"finite-difference step must lie in (0, 0.1], got {h}")
+    if not _is_real(h, 0.0, 0.1, "(]"):
+        raise ValueError(f"finite-difference step must be a real number in (0, 0.1], got {h!r}")
     rho, lam, vec = _validated_pair(rho, hamiltonian)
     plus = rel_entropy_coherence(_rotate(rho, lam, vec, h))
     minus = rel_entropy_coherence(_rotate(rho, lam, vec, -h))

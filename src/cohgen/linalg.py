@@ -18,10 +18,13 @@ Each input rule is written once here and each operand meets it once per
 public call: ``_one_matrix`` (exactly one matrix: a 2-D array, checked
 first), ``_as_square_stack`` (non-empty square matrices with finite
 entries), ``_validate_hermitian_stack`` (Hermiticity, which
-``validate_density`` reuses), ``_same_shape`` (two operands of one shape)
-and ``_is_int`` (an integer in a range, for dimensions, ranks, counts and
-seeds).  Shapes come first, then finiteness, then the invariants; a
-parameter out of its range raises ``ValueError`` itself.
+``validate_density`` reuses), ``_same_shape`` (two operands of one shape),
+``_is_int`` (an integer in a range, for dimensions, ranks, counts and
+seeds; ``_check_dim`` is its dimension form) and ``_is_real`` (a real
+number in an interval, for times, steps, weights and populations).  Shapes
+come first, then finiteness, then the invariants; a parameter out of its
+range or of the wrong type raises ``ValueError`` itself, a dimension
+``DimensionMismatch``.
 """
 import numbers
 
@@ -70,6 +73,24 @@ def _is_int(value, low, high=np.inf) -> bool:
     ``bool``, in [low, high]."""
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and low <= value <= high)
+
+
+def _is_real(value, low, high, ends="[]") -> bool:
+    """Whether ``value`` is a real number, numpy's and integers included and
+    never a ``bool``, between low and high; ``ends`` marks each end closed
+    (``[``, ``]``) or open (``(``, ``)``), so NaN never passes and ±inf
+    only at a closed infinite end."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    above = low < value if ends[0] == "(" else low <= value
+    below = value < high if ends[1] == ")" else value <= high
+    return above and below
+
+
+def _check_dim(d, low=2):
+    """``DimensionMismatch`` unless ``d`` is an integer dimension ≥ low."""
+    if not _is_int(d, low):
+        raise DimensionMismatch(f"dimension must be an integer ≥ {low}, got {d!r}")
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ functions then give those calls' matrices bit for bit.
 """
 import numpy as np
 
-from .linalg import _is_int, hs_norm
+from .linalg import _check_dim, _is_int, _is_real, hs_norm
 
 
 def _ginibre(d: int, k: int, rng) -> np.ndarray:
@@ -70,13 +70,15 @@ def random_density(d: int, rng, rank: int | None = None, mix: float = 0.0) -> np
     ``mix`` blends in the maximally mixed state, ``(1-mix) ρ + mix I/d``,
     which bounds the diagonal (and every eigenvalue) below by ``mix/d`` —
     handy when a test needs states safely away from vanishing diagonals.
-    ``ValueError`` unless ``0 ≤ mix ≤ 1`` and ``rank`` is an integer in
-    [1, d] (not a ``bool``); ``None`` means d.
+    ``DimensionMismatch`` unless d is an integer ≥ 1, then ``ValueError``
+    unless ``rank`` is an integer in [1, d] (``None`` means d) and ``mix`` a
+    real number in [0, 1]; a ``bool`` is neither.
     """
+    _check_dim(d, 1)
     if rank is None:
         rank = d
     if not _is_int(rank, 1, d):
         raise ValueError(f"rank must be an integer in [1, {d}], got {rank!r}")
-    if not 0.0 <= mix <= 1.0:  # also rejects NaN
-        raise ValueError(f"mix must lie in [0, 1], got {mix}")
+    if not _is_real(mix, 0.0, 1.0):
+        raise ValueError(f"mix must be a real number in [0, 1], got {mix!r}")
     return density_from_ginibre(_ginibre(d, rank, rng), mix)

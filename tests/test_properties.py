@@ -60,14 +60,16 @@ def test_capacity_numeric_properties(h, k):
     assert res.upper_bound <= holder
     assert abs(coherence_derivative(h, res.argmax_state) - res.value) <= 1e-9
     # Capacity is homogeneous of degree one in H.  Scaling H by c = 2**k
-    # together with the first step by 1/c and the gradient tolerance by c
-    # makes every candidate the same point, so the solver must return exactly
-    # c times the value.  (With the step left alone, H and cH can end in
-    # different local maxima.)  The patch sits in the body: a function-scoped
-    # fixture would trip hypothesis's health check.
+    # together with the first step by 1/c and the gradient tolerance
+    # _GRAD_TOL·max(1, ‖H‖₂) by c makes every candidate the same point, so
+    # the solver must return c times the value.  (With the step left alone,
+    # H and cH can end in different local maxima.)  The patch sits in the
+    # body: a function-scoped fixture would trip hypothesis's health check.
     c = 2.0 ** k
+    norm = hs_norm(h)
+    tol_factor = c * max(1.0, norm) / max(1.0, c * norm)
     with (mock.patch.object(capacity, "_STEP_INIT", capacity._STEP_INIT / c),
-          mock.patch.object(capacity, "_GRAD_TOL", capacity._GRAD_TOL * c)):
+          mock.patch.object(capacity, "_GRAD_TOL", capacity._GRAD_TOL * tol_factor)):
         scaled = capacity_numeric(c * h, CFG)
     assert abs(scaled.value - c * res.value) <= 1e-9 * max(1.0, c * res.value)
     assert scaled.upper_bound == c * res.upper_bound  # c is a power of 2
@@ -117,23 +119,32 @@ INTEGER_SLOTS = {
     "simplex_grid_oracle resolution": (lambda k: simplex_grid_oracle(2, k), 1, 400),
     "random_density rank": (lambda k: random_density(3, np.random.default_rng(0), rank=k), 1, 3),
     "random_density d, rank by default": (lambda k: random_density(k, np.random.default_rng(0)), 1, None),
+    "random_density d, with a rank": (lambda k: random_density(k, np.random.default_rng(0), rank=1), 1, None),
     "SolverConfig restarts": (lambda k: capacity_numeric(H, SolverConfig(restarts=k)), 1, None),
     "SolverConfig seed": (lambda k: capacity_numeric(H, SolverConfig(seed=k)), 0, None),
 }
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# no real number: a str, None, a bool or a complex number
+NOT_REAL = st.sampled_from(["x", "0.05", None, True, False, 0.05 + 0j])
 
-# real-valued parameters and the values outside their range
+# real-valued parameters and the values outside their range or type
 SCALAR_SLOTS = {
-    "evolve t": (lambda x: evolve(RHO, H, x), NON_FINITE),
+    "evolve t": (lambda x: evolve(RHO, H, x), st.one_of(NON_FINITE, NOT_REAL)),
     "trajectory grid": (lambda x: trajectory(RHO, H, [0.0, x]), NON_FINITE),
     "fd_derivative step": (
         lambda x: fd_derivative(RHO, H, x),
-        st.one_of(NON_FINITE, st.floats(max_value=0.0), st.floats(min_value=0.1, exclude_min=True)),
+        st.one_of(NON_FINITE, NOT_REAL, st.floats(max_value=0.0),
+                  st.floats(min_value=0.1, exclude_min=True)),
     ),
     "optimal_state gamma": (
         lambda x: optimal_state(3, x),
-        st.one_of(NON_FINITE, st.floats(max_value=0.0), st.floats(min_value=1.0)),
+        st.one_of(NON_FINITE, NOT_REAL, st.floats(max_value=0.0), st.floats(min_value=1.0)),
+    ),
+    "random_density mix": (
+        lambda x: random_density(3, np.random.default_rng(0), mix=x),
+        st.one_of(NON_FINITE, NOT_REAL, st.floats(max_value=0.0, exclude_max=True),
+                  st.floats(min_value=1.0, exclude_min=True)),
     ),
 }
 
