@@ -20,6 +20,12 @@ A ``capacity`` report's ``numeric`` (and, at d = 2, ``qubit``) object holds
 ``upper_bound``, the proven ceiling the value is measured against: a solve
 that finishes on it is certified and ``converged``.
 
+Each verb parses its arguments, calls the library once per quantity,
+prints its summary and writes its files; it holds no rule of its own beyond
+parsing.  The library owns every input rule and default: ``--restarts`` and
+``--seed`` default to :class:`~cohgen.capacity.SolverConfig`'s, and
+``trajectory`` rejects an empty, non-finite or non-ascending ``--grid``.
+
 Exit codes: 0 success, 1 verification failure, 2 input/parse error,
 3 solver non-convergence (a ``capacity`` result with ``converged`` false,
 whose report is still written, or a failed eigensolve in any subcommand).
@@ -41,10 +47,9 @@ from .capacity import (
 from .coherence import surprisal_variance
 from .dynamics import trajectory
 from .errors import ConvergenceFailure, ParseError
-from .linalg import hs_norm, validate_hermitian, validate_pure_state
+from .linalg import hs_norm, validate_hermitian
 from .serialization import (
     dumps_17,
-    format_float,
     matrix_to_obj,
     parse_matrix_text,
     parse_state_text,
@@ -66,31 +71,21 @@ def _read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
-def _solver_config(args) -> SolverConfig:
-    """The defaults, overridden by the ``--seed`` and ``--restarts`` flags that are set."""
-    flags = {name: getattr(args, name) for name in ("seed", "restarts")}
-    return SolverConfig(**{name: v for name, v in flags.items() if v is not None})
+def _write_text(path, text: str):
+    """Write ``text`` to ``path``; an optional output left unset (``None``) is skipped."""
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ParseError(f"grid must be start:stop:steps, got {text!r}")
     try:
-        start, stop = float(parts[0]), float(parts[1])
-        steps = int(parts[2])
+        start, stop, steps = text.split(":")
+        # an infinite end makes NaN or infinite points, which trajectory rejects
+        with np.errstate(all="ignore"):
+            return np.linspace(float(start), float(stop), int(steps))
     except ValueError as exc:
         raise ParseError(f"grid must be start:stop:steps, got {text!r}") from exc
-    if steps < 1:
-        raise ParseError(f"grid needs at least 1 step, got {steps}")
-    if steps > 1 and stop <= start:
-        raise ParseError(f"grid stop must exceed start, got {text!r}")
-    return np.linspace(start, stop, steps)
 
 
 def _result_obj(res) -> dict:
@@ -107,30 +102,28 @@ def _result_obj(res) -> dict:
 
 def cmd_capacity(args) -> int:
     h = validate_hermitian(parse_matrix_text(_read_text(args.hamiltonian)))
-    cfg = _solver_config(args)
+    cfg = SolverConfig(restarts=args.restarts, seed=args.seed)
     dim = h.shape[0]
+    numeric = capacity_numeric(h, cfg)
     payload = {
         "command": "capacity",
         "dim": dim,
         "hamiltonian_hs_norm": hs_norm(h),
         "config": dataclasses.asdict(cfg),
+        "numeric": _result_obj(numeric),
     }
-    numeric = capacity_numeric(h, cfg)
-    payload["numeric"] = _result_obj(numeric)
-    value = numeric.value
     if dim == 2:
         qubit = capacity_qubit(h)
         payload["qubit"] = _result_obj(qubit)
         payload["method_gap"] = abs(numeric.value - qubit.value)
-        value = qubit.value
-    print(f"capacity {value:.12g} bits per unit time (dim {dim})")
-    if dim == 2:
+        print(f"capacity {qubit.value:.12g} bits per unit time (dim {dim})")
         print(f"method gap |numeric - closed form| = {payload['method_gap']:.3e}")
+    else:
+        print(f"capacity {numeric.value:.12g} bits per unit time (dim {dim})")
     if not numeric.converged:
         print("warning: gradient ascent did not converge; value is best-effort",
               file=sys.stderr)
-    if args.out:
-        _write_text(args.out, dumps_17(payload))
+    _write_text(args.out, dumps_17(payload))
     return EXIT_OK if numeric.converged else EXIT_NO_CONVERGENCE
 
 
@@ -149,16 +142,14 @@ def cmd_optimal(args) -> int:
     }
     print(f"dim {args.dim}: gamma* {family.gamma:.12g}, "
           f"capacity bound {family.capacity_bound:.12g} bits per unit time")
-    if args.out:
-        _write_text(args.out, dumps_17(payload))
+    _write_text(args.out, dumps_17(payload))
     return EXIT_OK
 
 
 def cmd_evolve(args) -> int:
     kind, state = parse_state_text(_read_text(args.state))
-    if kind == "pure":
-        psi = validate_pure_state(state)
-        state = np.outer(psi, psi.conj())
+    if kind == "pure":  # trajectory checks ψψ†'s trace, ‖ψ‖², like any density matrix's
+        state = np.outer(state, state.conj())
     ham = parse_matrix_text(_read_text(args.hamiltonian))
     grid = _parse_grid(args.grid)
     traj = trajectory(state, ham, grid)  # validates the density matrix and H
@@ -173,31 +164,27 @@ def cmd_scan_gamma(args) -> int:
     if args.resolution < 2:
         raise ParseError(f"resolution must be ≥ 2, got {args.resolution}")
     family = max_surprisal_variance(args.dim)
-    lines = ["gamma,f,sqrt2f"]
-    for k in range(1, args.resolution):
-        gamma = k / args.resolution
-        # evaluate through the generic surprisal variance of the explicit
-        # distribution, not the closed-form family expression the summary
-        # uses — the two routes cross-check each other
-        tail = (1.0 - gamma) / (args.dim - 1)
-        f = surprisal_variance([gamma] + [tail] * (args.dim - 1))
-        lines.append(
-            f"{format_float(gamma)},{format_float(f)},{format_float(np.sqrt(2 * f))}"
-        )
+    gamma = np.arange(1, args.resolution) / args.resolution
+    # evaluate through the generic surprisal variance of the explicit
+    # distributions, not the closed-form family expression the summary
+    # uses — the two routes cross-check each other
+    tail = (1.0 - gamma) / (args.dim - 1)
+    f = surprisal_variance(np.column_stack([gamma] + [tail] * (args.dim - 1)))
+    table = np.column_stack([gamma, f, np.sqrt(2 * f)])
+    if not np.isfinite(table).all():
+        raise ValueError("non-finite value in the γ scan cannot be serialized")
+    rows = "%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist())
     print(f"dim {args.dim}: gamma* {family.gamma:.12g}, "
           f"f_max {family.f_max:.12g} bits², bound {family.capacity_bound:.12g}")
-    if args.out:
-        _write_text(args.out, "\n".join(lines) + "\n")
-    if args.summary_out:
-        summary = {
-            "command": "scan-gamma",
-            "dim": args.dim,
-            "resolution": args.resolution,
-            "gamma_star": family.gamma,
-            "f_max": family.f_max,
-            "capacity_bound": family.capacity_bound,
-        }
-        _write_text(args.summary_out, dumps_17(summary))
+    _write_text(args.out, "gamma,f,sqrt2f\n" + rows)
+    _write_text(args.summary_out, dumps_17({
+        "command": "scan-gamma",
+        "dim": args.dim,
+        "resolution": args.resolution,
+        "gamma_star": family.gamma,
+        "f_max": family.f_max,
+        "capacity_bound": family.capacity_bound,
+    }))
     return EXIT_OK
 
 
@@ -212,18 +199,16 @@ def cmd_verify(args) -> int:
         print(f"{mark} {r.name}: residual {r.residual:.3e} (tolerance {r.tolerance:.1e})")
     print(f"{'all checks passed' if all_passed else 'CHECKS FAILED'} "
           f"[{args.level}, seed {args.seed}]")
-    if args.out:
-        checks = [dataclasses.asdict(r) for r in results]
-        for check in checks:  # JSON has no NaN or infinity: such a residual is written as null
-            check["residual"] = check["residual"] if np.isfinite(check["residual"]) else None
-        payload = {
-            "command": "verify",
-            "level": args.level,
-            "seed": args.seed,
-            "passed": all_passed,
-            "checks": checks,
-        }
-        _write_text(args.out, dumps_17(payload))
+    checks = [dataclasses.asdict(r) for r in results]
+    for check in checks:  # JSON has no NaN or infinity: such a residual is written as null
+        check["residual"] = check["residual"] if np.isfinite(check["residual"]) else None
+    _write_text(args.out, dumps_17({
+        "command": "verify",
+        "level": args.level,
+        "seed": args.seed,
+        "passed": all_passed,
+        "checks": checks,
+    }))
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
@@ -238,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="capacity of a Hamiltonian from a matrix JSON file")
     p.add_argument("hamiltonian", help="matrix JSON file")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--seed", type=int, help="solver seed")
-    p.add_argument("--restarts", type=int, help="gradient-ascent restarts")
+    p.add_argument("--seed", type=int, default=SolverConfig.seed, help="solver seed")
+    p.add_argument("--restarts", type=int, default=SolverConfig.restarts,
+                   help="gradient-ascent restarts")
     p.set_defaults(handler=cmd_capacity)
 
     p = sub.add_parser("optimal", help="best state/Hamiltonian pair for a dimension")
@@ -273,12 +259,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:  # ParseError and every validation error
+    except (ValueError, ConvergenceFailure) as exc:  # bad input, or a failed eigensolve
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConvergenceFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return EXIT_NO_CONVERGENCE if isinstance(exc, ConvergenceFailure) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ from .coherence import (
     von_neumann_entropy,
 )
 from .dynamics import entropy_derivative_check, fd_derivative, trajectory
-from .linalg import _adjoint, hs_norm
+from .linalg import _adjoint, _is_int, hs_norm
 from .sampling import (
     density_from_ginibre,
     ginibre_stack,
@@ -272,9 +272,12 @@ _CHECKS = [
 
 def timed_checks(level: str = "fast", seed: int = 0):
     """Run the suite at the given level, yielding (CheckResult, wall seconds)
-    for each check as it finishes."""
+    for each check as it finishes.  The level and the seed, an integer ≥ 0
+    (numpy's included, never a ``bool``), are checked before any check runs."""
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
+    if not _is_int(seed, 0):
+        raise ValueError(f"seed must be an integer ≥ 0, got {seed!r}")
     for index, (min_level, fn) in enumerate(_CHECKS):
         if min_level == "full" and level != "full":
             continue

@@ -16,10 +16,12 @@ import cohgen.verify
 from cohgen import (
     ConvergenceFailure,
     optimal_hamiltonian,
+    random_hermitian,
     rel_entropy_coherence,
+    surprisal_variance,
 )
 from cohgen.cli import build_parser, main
-from cohgen.serialization import dumps_17, matrix_to_obj
+from cohgen.serialization import dumps_17, format_float, matrix_to_obj
 from refvals import BOUND, F_MAX, GAMMA_STAR, X_STAR
 
 
@@ -145,6 +147,16 @@ def test_capacity_report_config_is_restarts_and_seed(tmp_path):
     assert json.loads(out.read_text())["config"] == {"restarts": 32, "seed": 2}
 
 
+def test_capacity_defaults_are_the_solver_config_defaults(tmp_path):
+    # a random qutrit, whose report depends on both the seed and the restarts
+    hfile = _write_matrix(tmp_path / "h.json", random_hermitian(3, np.random.default_rng(5)))
+    default, explicit = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["capacity", hfile, "--out", str(default)]) == 0
+    assert main(["capacity", hfile, "--restarts", "32", "--seed", "0",
+                 "--out", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+
+
 def test_capacity_rejects_removed_config_flag(tmp_path, capsys):
     hfile = _write_matrix(tmp_path / "h.json", optimal_hamiltonian(2))
     cfg = tmp_path / "cfg.txt"
@@ -222,11 +234,15 @@ def test_evolve_diagonal_pair_stays_incoherent(tmp_path):
 
 
 def test_evolve_bad_grid(tmp_path):
+    # the text parse rejects a malformed grid; trajectory rejects an empty,
+    # non-finite or non-ascending one
     h = _write_matrix(tmp_path / "h.json", optimal_hamiltonian(2))
     s = _write_vector(tmp_path / "s.json", np.array([1.0, 0.0]))
-    assert main(["evolve", s, h, "--grid", "5:1:3", "--out", str(tmp_path / "x")]) == 2
-    assert main(["evolve", s, h, "--grid", "0:1:0", "--out", str(tmp_path / "x")]) == 2
-    assert main(["evolve", s, h, "--grid", "oops", "--out", str(tmp_path / "x")]) == 2
+    out = tmp_path / "x"
+    for grid in ("5:1:3", "0:1:0", "oops", "0:1:-3", "0:nan:3", "0:inf:3", "1:1:3",
+                 "0:1", "0:1:2:3"):
+        assert main(["evolve", s, h, "--grid", grid, "--out", str(out)]) == 2, grid
+        assert not out.exists(), grid
 
 
 def test_evolve_non_hermitian_hamiltonian_exits_2(tmp_path, capsys):
@@ -266,6 +282,35 @@ def test_scan_gamma_balanced_row_is_zero(tmp_path):
     gamma, f, _ = lines[1].split(",")
     assert float(gamma) == 0.5
     assert float(f) == 0.0
+
+
+def _reference_scan_gamma_csv(dim, resolution):
+    """The per-γ loop scan-gamma ran before it made one stacked call."""
+    lines = ["gamma,f,sqrt2f"]
+    for k in range(1, resolution):
+        gamma = k / resolution
+        tail = (1.0 - gamma) / (dim - 1)
+        f = surprisal_variance([gamma] + [tail] * (dim - 1))
+        lines.append(
+            f"{format_float(gamma)},{format_float(f)},{format_float(np.sqrt(2 * f))}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dim", [2, 3, 7, 40])
+@pytest.mark.parametrize("resolution", [2, 3, 100, 601])
+def test_scan_gamma_matches_the_per_gamma_reference(dim, resolution, tmp_path):
+    out = tmp_path / "scan.csv"
+    assert main(["scan-gamma", "--dim", str(dim), "--resolution", str(resolution),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == _reference_scan_gamma_csv(dim, resolution).encode()
+
+
+def test_scan_gamma_rejects_a_non_finite_value(tmp_path, monkeypatch):
+    monkeypatch.setattr(cohgen.cli, "surprisal_variance", lambda p: surprisal_variance(p) + math.nan)
+    out = tmp_path / "scan.csv"
+    assert main(["scan-gamma", "--dim", "3", "--resolution", "5", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_scan_gamma_rejects_tiny_resolution():

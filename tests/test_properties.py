@@ -26,6 +26,7 @@ from cohgen import (
     optimal_hamiltonian,
     optimal_state,
     random_density,
+    run_checks,
     simplex_grid_oracle,
     trajectory,
     unitary_exp,
@@ -122,7 +123,10 @@ INTEGER_SLOTS = {
     "random_density d, with a rank": (lambda k: random_density(k, np.random.default_rng(0), rank=1), 1, None),
     "SolverConfig restarts": (lambda k: capacity_numeric(H, SolverConfig(restarts=k)), 1, None),
     "SolverConfig seed": (lambda k: capacity_numeric(H, SolverConfig(seed=k)), 0, None),
+    "run_checks seed": (lambda k: run_checks("fast", k), 0, None),
 }
+# None selects the default of these integer parameters; every other slot rejects it
+NONE_IS_DEFAULT = {"random_density rank"}
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 # no real number: a str, None, a bool or a complex number
@@ -193,11 +197,13 @@ def test_malformed_pure_states_raise_typed_errors(psi):
     _raises_typed(validate_pure_state, psi)
 
 
-def _not_integers(low, high):
+def _not_integers(low, high, none_is_default):
     """Values an integer parameter with range [low, high] must reject."""
     outside = [st.integers(max_value=low - 1)]
     if high is not None:
         outside.append(st.integers(min_value=high + 1))
+    if not none_is_default:
+        outside.append(st.none())
     return st.one_of(st.booleans(), st.floats(), st.text(max_size=3), *outside)
 
 
@@ -206,7 +212,7 @@ def _not_integers(low, high):
 @given(data=st.data())
 def test_malformed_integers_raise_typed_errors(slot, data):
     call, low, high = INTEGER_SLOTS[slot]
-    _raises_typed(call, data.draw(_not_integers(low, high)))
+    _raises_typed(call, data.draw(_not_integers(low, high, slot in NONE_IS_DEFAULT)))
 
 
 @pytest.mark.parametrize("slot", sorted(SCALAR_SLOTS))

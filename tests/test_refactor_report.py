@@ -100,7 +100,7 @@ def test_api_table_lists_fields_members_bases_and_signatures(tmp_path):
 def test_bad_input_runs_exit_2_and_write_no_file(tmp_path):
     tool = _load_tool()
     runs = list(tool.bad_input_requests(str(tmp_path)))
-    assert len(runs) == 5
+    assert len(runs) == 10
     for label, argv, files, outputs in runs:
         for path, text in files.items():
             with open(path, "w", encoding="utf-8") as fh:

@@ -19,11 +19,12 @@ SRC is the root of a checkout (it holds ``src/cohgen`` and
   groups (0, 0), (0, 1), (310, 0) and (1, 5), ``capacity`` on one 3×3 H
   of norm about 6e7 (it converges only because the gradient tolerance
   scales with ‖H‖₂), ``optimal`` for
-  d = 2..32, ``scan-gamma`` for d = 2, 3, 7 and 40, and five runs on bad
+  d = 2..32, ``scan-gamma`` for d = 2, 3, 7 and 40, and ten runs on bad
   input that exit 2 and write no file (``capacity`` of a non-Hermitian H,
   ``evolve`` with a qubit state and a qutrit H, ``evolve`` with a NaN
-  state, ``optimal --dim 1`` and ``scan-gamma --dim 1``), so that a
-  refactor of validation is compared too.  The benchmark requests are
+  state, ``evolve --grid`` 5:1:3, 0:1:0 and 0:nan:3, ``optimal --dim 1``,
+  ``scan-gamma --dim 1``, ``scan-gamma --resolution 1`` and ``verify --seed -1``),
+  so that a refactor of validation is compared too.  The benchmark requests are
   built by ``SRC/perfbench/workloads.py``.
 
 A refactor that keeps every output runs this on its parent checkout and on
@@ -136,15 +137,23 @@ def bad_input_requests(workdir: str):
     yield ("capacity non-Hermitian exit 2",
            ["capacity", out("h.json"), "--out", out("c.json")],
            {out("h.json"): _NON_HERMITIAN_H}, [out("c.json")])
-    evolve = ["evolve", out("state.json"), out("h.json"), "--grid", "0:1:5", "--out", out("t.csv")]
-    yield ("evolve dimension mismatch exit 2", evolve,
+    def evolve(grid):
+        return ["evolve", out("state.json"), out("h.json"), "--grid", grid, "--out", out("t.csv")]
+
+    yield ("evolve dimension mismatch exit 2", evolve("0:1:5"),
            {out("state.json"): _QUBIT_STATE, out("h.json"): _QUTRIT_H}, [out("t.csv")])
-    yield ("evolve NaN state exit 2", evolve,
+    yield ("evolve NaN state exit 2", evolve("0:1:5"),
            {out("state.json"): _NAN_STATE, out("h.json"): _QUBIT_H}, [out("t.csv")])
+    for grid in ("5:1:3", "0:1:0", "0:nan:3"):
+        yield (f"evolve --grid {grid} exit 2", evolve(grid),
+               {out("state.json"): _QUBIT_STATE, out("h.json"): _QUBIT_H}, [out("t.csv")])
     yield "optimal --dim 1 exit 2", ["optimal", "--dim", "1", "--out", out("o.json")], {}, [out("o.json")]
     files = [out("s.csv"), out("s.json")]
-    yield ("scan-gamma --dim 1 exit 2",
-           ["scan-gamma", "--dim", "1", "--out", files[0], "--summary-out", files[1]], {}, files)
+    for bad in (["--dim", "1"], ["--dim", "2", "--resolution", "1"]):
+        yield (f"scan-gamma {' '.join(bad)} exit 2",
+               ["scan-gamma", *bad, "--out", files[0], "--summary-out", files[1]], {}, files)
+    yield ("verify --seed -1 exit 2",
+           ["verify", "fast", "--seed", "-1", "--out", out("v.json")], {}, [out("v.json")])
 
 
 def _requests(workloads, workdir: str):
