@@ -9,7 +9,8 @@ sets only the number of restarts and their seed (:class:`SolverConfig`); the
 first step, the gradient tolerance (relative to ‖H‖₂ once that exceeds 1),
 the iteration limit and the stop rules' thresholds are module constants.  Every
 result carries a proven ceiling on the capacity (``upper_bound``); the
-ascent ends as soon as a restart finishes on it, which happens for every
+ascent ends as soon as a restart finishes on it, or sits on it with a
+gradient norm below ``_POISED_TOL``·max(1, ‖H‖₂), which happens for every
 qubit H and every matched H, never for a generic H at d ≥ 3 (see
 :func:`capacity_numeric`).  There, once a restart converges, a restart
 still running stops, unconverged, when it has settled more than
@@ -45,6 +46,7 @@ _STEP_INIT = 0.1        # first trial step of every restart
 _CERT_TOL = 1e-14       # relative distance to the proven ceiling that ends a solve
 _BEHIND_TOL = 1e-2      # relative gap below the best converged value that stops a row
 _SETTLED_TOL = 1e-4     # gradient norm (times max(1, ‖H‖₂)) of a row that may stop behind
+_POISED_TOL = 1e-6      # gradient norm (times max(1, ‖H‖₂)) of a live row that may certify
 
 
 class SolverMethod(enum.Enum):
@@ -381,9 +383,20 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, ceiling=math.inf, sc
     stops converged, stalled or at the limit, with its value within
     ``_CERT_TOL``·C of C on either side, no other row can beat it by more
     than that: the row counts as converged and every live row stops where it
-    is, unconverged.  The window is two-sided, so a value above C (a wrong
-    bound) never stops the ascent.  The test runs only on passes where some
-    row stops, so a pass costs the same with or without a ceiling.
+    is, unconverged.  A live row certifies the same way on any pass, without
+    waiting to stop, when its value lies in the narrower window
+    [(1 − ``_CERT_TOL``/2)·C, (1 + ``_CERT_TOL``)·C] and its gradient norm
+    is at most ``_POISED_TOL``·max(1, ``scale``).  That is what ends a solve
+    whose rows zig-zag on C until ``_MAX_ITERS``.  The gradient guard keeps
+    a wrong bound just below the true maximum from stopping a row that
+    is passing through it on the way up.  A live row certifies as soon as
+    it enters the window, so the half-width low edge keeps the value it
+    reports no more than ``_CERT_TOL``·C/2 below C.  The window is
+    two-sided, so a value above C (a wrong bound) never stops the ascent.
+    A pass first compares every live value with the low edge; the rest of
+    the test runs only when some row reaches it or stops, so a pass on which
+    no row is near C, as on every pass for a generic H at d ≥ 3, costs one
+    vector comparison more than without a ceiling.
 
     Behind, the fourth stop reason, is tested on every pass once some row
     has converged without certifying.  With B the best converged value so
@@ -400,7 +413,9 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, ceiling=math.inf, sc
     Returns the final points, their values and a converged flag per row.
     """
     tol, settled = _GRAD_TOL * max(1.0, scale), _SETTLED_TOL * max(1.0, scale)
+    poised = _POISED_TOL * max(1.0, scale)
     low, high = (1.0 - _CERT_TOL) * ceiling, (1.0 + _CERT_TOL) * ceiling  # empty when infinite
+    live_low = (1.0 - _CERT_TOL / 2) * ceiling
     best = -math.inf                    # best converged value so far
     x = retract(x0)
     value, grad = value_and_grad(x)
@@ -413,8 +428,9 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, ceiling=math.inf, sc
     iters = np.zeros(len(x), dtype=int)
     conv = done = gnorm <= tol
     while True:
-        if done.any():
-            on_bound = done & (value >= low) & (value <= high)
+        near = value >= live_low
+        if (done | near).any():
+            on_bound = (value <= high) & np.where(done, value >= low, near & (gnorm <= poised))
             if on_bound.any():
                 conv, done = conv | on_bound, np.ones_like(done)
             elif conv.any():
@@ -487,7 +503,9 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     :func:`capacity_qubit`, and for every matched H (a multiple of
     :func:`optimal_hamiltonian` under a diagonal phase and a permutation),
     which has a zero diagonal and attains the paper's bound.  Once a restart
-    finishes within ``_CERT_TOL``·C of C the solve is certified and the
+    finishes within ``_CERT_TOL``·C of C, or while still running sits within
+    ``_CERT_TOL``·C/2 below C (or ``_CERT_TOL``·C above) with a gradient norm
+    of at most ``_POISED_TOL``·max(1, ‖H‖₂), the solve is certified and the
     other restarts stop (see :func:`_armijo_ascent`).  A generic H at d ≥ 3
     stays well below C, so its solve runs exactly as it would without one.
 

@@ -26,9 +26,10 @@ parsing.  The library owns every input rule and default: ``--restarts`` and
 ``--seed`` default to :class:`~cohgen.capacity.SolverConfig`'s, and
 ``trajectory`` rejects an empty, non-finite or non-ascending ``--grid``.
 
-Exit codes: 0 success, 1 verification failure, 2 input/parse error,
-3 solver non-convergence (a ``capacity`` result with ``converged`` false,
-whose report is still written, or a failed eigensolve in any subcommand).
+Exit codes: 0 success, 1 verification failure, 2 input/parse error (an
+output file that cannot be written included), 3 solver non-convergence (a
+``capacity`` result with ``converged`` false, whose report is still
+written, or a failed eigensolve in any subcommand).
 """
 import argparse
 import dataclasses
@@ -73,9 +74,13 @@ def _read_text(path: str) -> str:
 
 def _write_text(path, text: str):
     """Write ``text`` to ``path``; an optional output left unset (``None``) is skipped."""
-    if path is not None:
+    if path is None:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_grid(text: str) -> np.ndarray:

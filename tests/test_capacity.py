@@ -592,9 +592,10 @@ def test_batched_restarts_match_scalar_reference(h, cfg, max_iters, monkeypatch)
 
 
 # A zig-zag input: on this random qubit H (benchmark seed 203, group 9) every
-# one of the 32 restarts steps s, tries 2s, is rejected and steps s again, so
-# each stops at _MAX_ITERS on the closed-form value.  The slow ascent is a
-# standing defect, kept as found; the ceiling lets the solve certify it.
+# one of the 32 restarts steps s, tries 2s, is rejected and steps s again.
+# Without a ceiling each stops at _MAX_ITERS on the closed-form value.  The
+# slow ascent is a standing defect, kept as found; with its ceiling the
+# solve certifies as soon as a settled restart sits on the closed form.
 ZIGZAG_H = np.array([
     [-0.3799007026462819, -0.20650968977976122 - 0.3411304944555071j],
     [-0.20650968977976122 + 0.3411304944555071j, 0.7332413815982273],
@@ -623,6 +624,34 @@ def test_zigzag_qubit_is_certified_on_the_closed_form():
     assert abs(res.upper_bound - exact) <= 1e-14 * exact
 
 
+# The other five zig-zag qubits of capacity_sweep, as (seed, group) of
+# perfbench's workloads.capacity_group.
+ZIGZAG_REQUESTS = [(35, 35), (69, 22), (80, 46), (314, 34), (316, 29)]
+
+
+def test_zigzag_qubits_certify_on_a_live_restart(tmp_path, monkeypatch):
+    # Every restart would zig-zag to _MAX_ITERS, 3,000 passes a solve when
+    # only a stopped restart could certify.  A live restart that sits on the
+    # ceiling with a small gradient now certifies, in at most half of that.
+    cases = [(ZIGZAG_H, ZIGZAG_CFG)]
+    for seed, group in ZIGZAG_REQUESTS:
+        req = _benchmark_workloads().capacity_group(seed, group, str(tmp_path))[0]
+        cases.append((req.meta["hamiltonian"], _request_config(req)))
+    calls = []
+
+    def counted(h, psi):
+        calls.append(len(psi))
+        return _pure_value_and_grad(h, psi)
+
+    monkeypatch.setattr(capacity, "_pure_value_and_grad", counted)
+    for h, cfg in cases:
+        res = capacity_numeric(h, cfg)
+        assert res.converged
+        exact = capacity_qubit(h).value
+        assert abs(res.value - exact) <= capacity._CERT_TOL * res.upper_bound
+    assert len(calls) <= 6 * 3000 // 2
+
+
 def _scale_bound(monkeypatch, factor):
     """Make capacity_numeric's ceiling ``factor`` times the proven one."""
     family = capacity.max_surprisal_variance
@@ -647,10 +676,12 @@ def _ceiling_free(h, cfg):
         return capacity_numeric(h, cfg)
 
 
-@pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
+@pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9, 1 - 1e-11, 1 - 1e-12, 1 + 1e-12])
 def test_a_wrong_bound_never_stops_a_solve(factor, monkeypatch):
     # the window is two-sided and 1e-14 wide: a ceiling 1e-9 off is never
-    # met, so every solve runs as if it had none, the zig-zag one included
+    # met, so every solve runs as if it had none, the zig-zag one included.
+    # A ceiling just below the maximum is crossed by rows on their way up;
+    # the gradient guard keeps such a row from certifying a live solve.
     rng = np.random.default_rng(77)
     cases = [(_disguised_matched(8, rng), SolverConfig(32, 3)),
              (random_hermitian(2, rng, hs_normalized=True), SolverConfig(32, 4)),
@@ -669,9 +700,7 @@ def test_random_benchmark_hamiltonians_never_certify(seed, group, tmp_path):
     # their solves keep the bits of the ascent without one
     for req in _benchmark_workloads().capacity_group(seed, group, str(tmp_path)):
         if req.kind == "random" and req.dim >= 8:
-            argv = req.argv
-            cfg = SolverConfig(restarts=int(argv[argv.index("--restarts") + 1]),
-                               seed=int(argv[argv.index("--seed") + 1]))
+            cfg = _request_config(req)
             h = validate_hermitian(req.meta["hamiltonian"])
             _assert_same_solve(capacity_numeric(h, cfg), _ceiling_free(h, cfg))
 
@@ -709,9 +738,7 @@ def test_pruning_waits_until_a_row_settles(s):
 def test_pruning_halves_the_rows_evaluated_and_keeps_the_rest(tmp_path, monkeypatch):
     (req,) = [r for r in _benchmark_workloads().capacity_group(0, 0, str(tmp_path))
               if r.kind == "random" and r.dim == 32]
-    argv = req.argv
-    cfg = SolverConfig(restarts=int(argv[argv.index("--restarts") + 1]),
-                       seed=int(argv[argv.index("--seed") + 1]))
+    cfg = _request_config(req)
     h = validate_hermitian(req.meta["hamiltonian"])
     rng = np.random.default_rng(cfg.seed)
     x0 = np.array([random_pure_state(32, rng) for _ in range(cfg.restarts)])
@@ -788,6 +815,13 @@ def _benchmark_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _request_config(req):
+    """The SolverConfig of a benchmark capacity request, read from its argv."""
+    argv = req.argv
+    return SolverConfig(restarts=int(argv[argv.index("--restarts") + 1]),
+                        seed=int(argv[argv.index("--seed") + 1]))
 
 
 _MISSES_GLOBAL_MAX = pytest.mark.xfail(

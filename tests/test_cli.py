@@ -254,6 +254,19 @@ def test_evolve_non_hermitian_hamiltonian_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["capacity", "optimal", "verify"])
+@pytest.mark.parametrize("where", ["missing dir", "empty"])
+def test_an_output_that_cannot_be_written_exits_2(verb, where, tmp_path, capsys):
+    out = str(tmp_path / "no such dir" / "x.json") if where == "missing dir" else ""
+    argv = {"capacity": ["capacity", _write_matrix(tmp_path / "h.json", optimal_hamiltonian(2))],
+            "optimal": ["optimal", "--dim", "2"],
+            "verify": ["verify", "fast"]}[verb]
+    assert main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}: " in err
+    assert "Traceback" not in err
+
+
 def test_scan_gamma_summary(tmp_path):
     out = tmp_path / "scan.csv"
     summ = tmp_path / "sum.json"

@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import io
+import json
 import os
 
 from cohgen import cli
@@ -110,3 +111,22 @@ def test_bad_input_runs_exit_2_and_write_no_file(tmp_path):
             assert cli.main(argv) == 2, label
         assert stdout.getvalue() == "", label
         assert not any(os.path.exists(path) for path in outputs), label
+
+
+def test_values_name_the_numbers_of_capacity_and_verify_reports(tmp_path):
+    tool = _load_tool()
+    h, out = tmp_path / "h.json", tmp_path / "c.json"
+    h.write_text('{"dim": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}')
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["capacity", str(h), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert tool.report_values(report) == {
+        "value": report["numeric"]["value"],
+        "upper_bound": report["numeric"]["upper_bound"],
+        "converged": True,
+    }
+    verify = {"command": "verify", "checks": [
+        {"name": "a", "passed": True, "residual": 1e-15},
+        {"name": "b", "passed": False, "residual": None}]}
+    assert tool.report_values(verify) == {"a": 1e-15, "b": None}
+    assert tool.report_values({"command": "optimal", "dim": 2}) is None

@@ -3,7 +3,7 @@
     python tools/refactor_report.py SRC OUT.json
 
 SRC is the root of a checkout (it holds ``src/cohgen`` and
-``perfbench/workloads.py``).  OUT.json gets three tables:
+``perfbench/workloads.py``).  OUT.json gets four tables:
 
 - ``code_lines``: per module of ``SRC/src/cohgen``, the lines that hold
   code, counted with ``tokenize`` after ``ast`` has marked the docstrings;
@@ -26,10 +26,14 @@ SRC is the root of a checkout (it holds ``src/cohgen`` and
   ``scan-gamma --dim 1``, ``scan-gamma --resolution 1`` and ``verify --seed -1``),
   so that a refactor of validation is compared too.  The benchmark requests are
   built by ``SRC/perfbench/workloads.py``.
+- ``values``: the numbers behind those hashes, per run that writes a
+  report: ``numeric.value``, ``upper_bound`` and ``converged`` of each
+  ``capacity`` run, and each check's ``residual`` of each ``verify`` run.
 
 A refactor that keeps every output runs this on its parent checkout and on
 itself and compares the two files: ``diff`` shows only the line counts that
-moved and the public names that changed.  The runs share one process, with
+moved, the public names that changed and, for a change that moves outputs,
+each number that moved.  The runs share one process, with
 SRC's cohgen imported and BLAS on one thread as in the benchmark.
 """
 import ast
@@ -190,13 +194,27 @@ def _requests(workloads, workdir: str):
     yield from bad_input_requests(workdir)
 
 
-def hash_outputs(root: str) -> dict:
-    """SHA-256 of every standard run of the CLI imported from ``root/src``."""
+def report_values(report: dict):
+    """The numbers of a ``capacity`` or ``verify`` report, or None for another."""
+    if report.get("command") == "capacity":
+        numeric = report["numeric"]
+        return {key: numeric[key] for key in ("value", "upper_bound", "converged")}
+    if report.get("command") == "verify":
+        return {check["name"]: check["residual"] for check in report["checks"]}
+    return None
+
+
+def run_outputs(root: str):
+    """(hashes, values) of every standard run of the CLI imported from ``root/src``.
+
+    ``hashes`` holds a SHA-256 per run; ``values`` holds the
+    :func:`report_values` of each run whose first output is such a report.
+    """
     _import_cohgen(root)
     from cohgen import cli
 
     workloads = _load(os.path.join(root, "perfbench", "workloads.py"), "refactor_workloads")
-    hashes = {}
+    hashes, values = {}, {}
     with tempfile.TemporaryDirectory() as workdir:
         for label, argv, files, outputs in _requests(workloads, workdir):
             for path, text in files.items():
@@ -218,7 +236,12 @@ def hash_outputs(root: str) -> dict:
             if label in hashes:
                 raise RuntimeError(f"duplicate run label {label!r}")
             hashes[label] = digest.hexdigest()
-    return hashes
+            if outputs[0].endswith(".json") and os.path.exists(outputs[0]):
+                with open(outputs[0], encoding="utf-8") as fh:
+                    numbers = report_values(json.load(fh))
+                if numbers is not None:
+                    values[label] = numbers
+    return hashes, values
 
 
 def main(argv=None) -> int:
@@ -232,8 +255,8 @@ def main(argv=None) -> int:
     report = {
         "code_lines": count_package(os.path.join(root, "src", "cohgen")),
         "api": api_table(_import_cohgen(root)),
-        "outputs": hash_outputs(root),
     }
+    report["outputs"], report["values"] = run_outputs(root)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
