@@ -8,15 +8,11 @@ gradient ascent on the complex unit sphere with random restarts.  A caller
 sets only the number of restarts and their seed (:class:`SolverConfig`); the
 first step, the gradient tolerance (relative to ‖H‖₂ once that exceeds 1),
 the iteration limit and the stop rules' thresholds are module constants.  Every
-result carries a proven ceiling on the capacity (``upper_bound``); the
-ascent ends as soon as a restart finishes on it, or sits on it with a
-gradient norm below ``_POISED_TOL``·max(1, ‖H‖₂), which happens for every
-qubit H and every matched H, never for a generic H at d ≥ 3 (see
-:func:`capacity_numeric`).  There, once a restart converges, a restart
-still running stops, unconverged, when it has settled more than
-``_BEHIND_TOL`` (relative) below the best converged value.  A solve that
-does not converge is no error: it returns its best result, with
-``converged`` false.
+result carries a proven ceiling on the capacity (``upper_bound``, see
+:func:`capacity_numeric`), which every qubit H and every matched H attain
+and a generic H at d ≥ 3 does not; :func:`_armijo_ascent` states when a
+restart, and so a solve, stops.  A solve that does not converge is no
+error: it returns its best result, with ``converged`` false.
 
 The module also provides the pieces of the capacity upper bound
 ``sqrt(2 max_p f(p))`` (f = surprisal variance): the two-level distribution
@@ -46,7 +42,7 @@ _STEP_INIT = 0.1        # first trial step of every restart
 _CERT_TOL = 1e-14       # relative distance to the proven ceiling that ends a solve
 _BEHIND_TOL = 1e-2      # relative gap below the best converged value that stops a row
 _SETTLED_TOL = 1e-4     # gradient norm (times max(1, ‖H‖₂)) of a row that may stop behind
-_POISED_TOL = 1e-6      # gradient norm (times max(1, ‖H‖₂)) of a live row that may certify
+_POISED_TOL = 1e-6      # gradient norm (times max(1, ‖H‖₂)) of a row that may certify
 
 
 class SolverMethod(enum.Enum):
@@ -368,54 +364,53 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, ceiling=math.inf, sc
     Every row follows the one-restart iteration: from step s, try
     ``retract(x + s·grad)``, s starting at ``_STEP_INIT``, halve s on
     rejection (at most ``_MAX_BACKTRACKS`` times), and start the next line
-    search at 2s if the first try was accepted, else at s.  A row stops when
-    its gradient norm reaches ``_GRAD_TOL``·max(1, ``scale``) (converged),
-    when no step is accepted (stalled), after ``_MAX_ITERS`` accepted steps
-    or when it falls behind (below).  ``scale`` is the size of the objective,
-    ‖H‖₂ for the capacity: the gradient's rounding noise grows with it, so an
-    absolute tolerance would never be met on a large H.  Each pass
-    evaluates one candidate of every live row, whatever stage its line
-    search is at, so a solve costs as many passes as its slowest live row
-    has candidates.  The gradient of an accepted candidate is that of the
-    next iterate, so it is never recomputed.
+    search at 2s if the first try was accepted, else at s.  ``scale`` is
+    the size of the objective, ‖H‖₂ for the capacity: the gradient's
+    rounding noise grows with it, so the gradient thresholds below are
+    relative, each times max(1, ``scale``).  Each pass evaluates one
+    candidate of every live row, whatever stage its line search is at, so a
+    solve costs as many passes as its slowest live row has candidates.  The
+    gradient of an accepted candidate is that of the next iterate, so it is
+    never recomputed.
 
-    ``ceiling`` is a proven upper bound C on the objective.  When a row
-    stops converged, stalled or at the limit, with its value within
-    ``_CERT_TOL``·C of C on either side, no other row can beat it by more
-    than that: the row counts as converged and every live row stops where it
-    is, unconverged.  A live row certifies the same way on any pass, without
-    waiting to stop, when its value lies in the narrower window
-    [(1 − ``_CERT_TOL``/2)·C, (1 + ``_CERT_TOL``)·C] and its gradient norm
-    is at most ``_POISED_TOL``·max(1, ``scale``).  That is what ends a solve
-    whose rows zig-zag on C until ``_MAX_ITERS``.  The gradient guard keeps
-    a wrong bound just below the true maximum from stopping a row that
-    is passing through it on the way up.  A live row certifies as soon as
-    it enters the window, so the half-width low edge keeps the value it
-    reports no more than ``_CERT_TOL``·C/2 below C.  The window is
-    two-sided, so a value above C (a wrong bound) never stops the ascent.
-    A pass first compares every live value with the low edge; the rest of
-    the test runs only when some row reaches it or stops, so a pass on which
-    no row is near C, as on every pass for a generic H at d ≥ 3, costs one
-    vector comparison more than without a ceiling.
+    Every stop is decided once per pass, at its top, in this order:
 
-    Behind, the fourth stop reason, is tested on every pass once some row
-    has converged without certifying.  With B the best converged value so
-    far, a live row stops where it is, unconverged, when it has settled,
-    gradient norm at most ``_SETTLED_TOL``·max(1, ``scale``), on a value
-    below B − ``_BEHIND_TOL``·|B|.  Both conditions are needed: rows far
-    behind B do climb past it after a slow stretch near a saddle, where the
-    gradient norm fell to 6e-4 but not below 1e-4 in the probed solves, so
-    the value gap alone would drop the best restart of some solves.  Rows
-    are independent, so a kept row's iterates are the same as without the
-    rule.  The rule is a heuristic, checked by ``tools/prune_sweep.py``; a
-    solve in which no row converges never prunes.
+    - **Stopped.** A row has converged when its gradient norm is at most
+      ``_GRAD_TOL`` with fewer than ``_MAX_ITERS`` accepted steps; it has
+      stalled after ``_MAX_BACKTRACKS`` rejections in a row, and reached
+      the limit after ``_MAX_ITERS`` accepted steps, both unconverged.
+    - **Certified.** ``ceiling`` is a proven upper bound C on the
+      objective.  A row, running or just stopped, whose value lies in
+      [(1 − ``_CERT_TOL``/2)·C, (1 + ``_CERT_TOL``)·C] with a gradient norm
+      of at most ``_POISED_TOL`` counts as converged, and every other row
+      stops where it is, unconverged: none can beat it by more than
+      ``_CERT_TOL``·C.  That ends the solves whose rows zig-zag on C until
+      ``_MAX_ITERS``.  A maximum on the sphere has zero gradient, so a row
+      on a true ceiling meets the guard; the guard keeps a wrong bound just
+      below the true maximum from stopping a row that is passing through
+      it on the way up.  A row certifies as soon as it enters the window,
+      so the half-width low edge keeps the value it reports within
+      ``_CERT_TOL``·C/2 of C, and a value above C (a wrong bound) never
+      certifies.  The rest of the test runs only when some value reaches
+      the low edge, so a pass on which none does, as on every pass for a
+      generic H at d ≥ 3, costs one vector comparison more than without a
+      ceiling.
+    - **Behind**, once some row has converged without certifying.  With B
+      the best converged value so far, a live row stops where it is,
+      unconverged, when it has settled, gradient norm at most
+      ``_SETTLED_TOL``, on a value below B − ``_BEHIND_TOL``·|B|.  Both
+      conditions are needed: rows far behind B do climb past it after a
+      slow stretch near a saddle, where the gradient norm fell to 6e-4 but
+      not below 1e-4 in the probed solves, so the value gap alone would
+      drop the best restart of some solves.  Rows are independent, so a
+      kept row's iterates are the same as without the rule.  The rule is a
+      heuristic, checked by ``tools/prune_sweep.py``; a solve in which no
+      row converges never prunes.
 
     Returns the final points, their values and a converged flag per row.
     """
-    tol, settled = _GRAD_TOL * max(1.0, scale), _SETTLED_TOL * max(1.0, scale)
-    poised = _POISED_TOL * max(1.0, scale)
-    low, high = (1.0 - _CERT_TOL) * ceiling, (1.0 + _CERT_TOL) * ceiling  # empty when infinite
-    live_low = (1.0 - _CERT_TOL / 2) * ceiling
+    tol, settled, poised = (c * max(1.0, scale) for c in (_GRAD_TOL, _SETTLED_TOL, _POISED_TOL))
+    low, high = (1.0 - _CERT_TOL / 2) * ceiling, (1.0 + _CERT_TOL) * ceiling  # empty when infinite
     best = -math.inf                    # best converged value so far
     x = retract(x0)
     value, grad = value_and_grad(x)
@@ -426,15 +421,15 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, ceiling=math.inf, sc
     s = np.full(len(x), _STEP_INIT)     # step of the row's next candidate
     k = np.zeros(len(x), dtype=int)     # backtracks so far in its line search
     iters = np.zeros(len(x), dtype=int)
-    conv = done = gnorm <= tol
     while True:
-        near = value >= live_low
-        if (done | near).any():
-            on_bound = (value <= high) & np.where(done, value >= low, near & (gnorm <= poised))
-            if on_bound.any():
-                conv, done = conv | on_bound, np.ones_like(done)
-            elif conv.any():
-                best = max(best, float(value[conv].max()))
+        conv = (gnorm <= tol) & (iters < _MAX_ITERS)
+        done = conv | (iters == _MAX_ITERS) | (k == _MAX_BACKTRACKS)
+        near = value >= low             # the rest of the test only once some row reaches C
+        on_bound = near & (value <= high) & (gnorm <= poised) if near.any() else near
+        if on_bound.any():
+            conv, done = conv | on_bound, np.ones_like(done)
+        elif conv.any():
+            best = max(best, float(value[conv].max()))
         if best > -math.inf:
             done = done | ((gnorm <= settled) & (value < best - _BEHIND_TOL * abs(best)))
         if done.any():
@@ -469,8 +464,6 @@ def _armijo_ascent(x0: np.ndarray, value_and_grad, retract, ceiling=math.inf, sc
         s = np.where(ok, np.where(k == 0, 2.0 * s, s), 0.5 * s)
         k = np.where(ok, 0, k + 1)
         iters += ok
-        conv = ok & (gnorm <= tol) & (iters < _MAX_ITERS)
-        done = conv | (ok & (iters == _MAX_ITERS)) | (k == _MAX_BACKTRACKS)
 
 
 def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityResult:
@@ -484,12 +477,10 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     The restarts advance together as one (restarts, d) array
     (:func:`_armijo_ascent`), one pass per line-search candidate, and a pass
     costs little more with 32 rows than with one.  So the cost is set by the
-    slowest restart still running, not by the sum over restarts: once a
-    restart converges, those that settle (gradient norm at most
-    ``_SETTLED_TOL``·max(1, ‖H‖₂)) more than ``_BEHIND_TOL`` below the best
-    converged value stop, so the tail is the slowest restart that stays
-    near the best or keeps climbing.  The gradient tolerance is
-    ``_GRAD_TOL``·max(1, ‖H‖₂).
+    slowest restart still running, not by the sum over restarts, and
+    :func:`_armijo_ascent` states when each restart stops: the gradient
+    tolerance is ``_GRAD_TOL``·max(1, ‖H‖₂), and once a restart converges,
+    those that settle well below it stop too.
 
     The ascent is also handed a proven ceiling, kept as ``upper_bound``:
     C = ‖H − diag H‖₂ · √(2 max_p f(p)), the second factor being
@@ -502,15 +493,14 @@ def capacity_numeric(hamiltonian, cfg: SolverConfig | None = None) -> CapacityRe
     and √(2 f_max(2)) = √2 g(x*) make C the closed form 2|H₁₀| g(x*) of
     :func:`capacity_qubit`, and for every matched H (a multiple of
     :func:`optimal_hamiltonian` under a diagonal phase and a permutation),
-    which has a zero diagonal and attains the paper's bound.  Once a restart
-    finishes within ``_CERT_TOL``·C of C, or while still running sits within
-    ``_CERT_TOL``·C/2 below C (or ``_CERT_TOL``·C above) with a gradient norm
-    of at most ``_POISED_TOL``·max(1, ‖H‖₂), the solve is certified and the
-    other restarts stop (see :func:`_armijo_ascent`).  A generic H at d ≥ 3
-    stays well below C, so its solve runs exactly as it would without one.
+    which has a zero diagonal and attains the paper's bound.  A restart
+    that sits on C with a small gradient certifies the solve and stops the
+    others (see :func:`_armijo_ascent` for the window and the guard).  A
+    generic H at d ≥ 3 stays well below C, so its solve runs exactly as it
+    would without one.
 
     ``converged`` means some restart brought the gradient norm below
-    that tolerance or finished on the ceiling.  When neither happened within
+    that tolerance or certified on the ceiling.  When neither happened within
     ``_MAX_ITERS`` accepted steps the best-effort result still returns, with
     ``converged`` false.
     """

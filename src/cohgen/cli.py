@@ -18,7 +18,7 @@ failed its check.
 
 A ``capacity`` report's ``numeric`` (and, at d = 2, ``qubit``) object holds
 ``upper_bound``, the proven ceiling the value is measured against: a solve
-that finishes on it is certified and ``converged``.
+in which a restart settles on it is certified and ``converged``.
 
 Each verb parses its arguments, calls the library once per quantity,
 prints its summary and writes its files; it holds no rule of its own beyond
@@ -48,8 +48,9 @@ from .capacity import (
 from .coherence import surprisal_variance
 from .dynamics import trajectory
 from .errors import ConvergenceFailure, ParseError
-from .linalg import hs_norm, validate_hermitian
+from .linalg import hs_norm
 from .serialization import (
+    csv_table,
     dumps_17,
     matrix_to_obj,
     parse_matrix_text,
@@ -106,7 +107,7 @@ def _result_obj(res) -> dict:
 
 
 def cmd_capacity(args) -> int:
-    h = validate_hermitian(parse_matrix_text(_read_text(args.hamiltonian)))
+    h = parse_matrix_text(_read_text(args.hamiltonian))  # each solver checks it is Hermitian
     cfg = SolverConfig(restarts=args.restarts, seed=args.seed)
     dim = h.shape[0]
     numeric = capacity_numeric(h, cfg)
@@ -175,13 +176,10 @@ def cmd_scan_gamma(args) -> int:
     # uses — the two routes cross-check each other
     tail = (1.0 - gamma) / (args.dim - 1)
     f = surprisal_variance(np.column_stack([gamma] + [tail] * (args.dim - 1)))
-    table = np.column_stack([gamma, f, np.sqrt(2 * f)])
-    if not np.isfinite(table).all():
-        raise ValueError("non-finite value in the γ scan cannot be serialized")
-    rows = "%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist())
+    csv = csv_table("gamma,f,sqrt2f", gamma, f, np.sqrt(2 * f))  # raises before any output
     print(f"dim {args.dim}: gamma* {family.gamma:.12g}, "
           f"f_max {family.f_max:.12g} bits², bound {family.capacity_bound:.12g}")
-    _write_text(args.out, "gamma,f,sqrt2f\n" + rows)
+    _write_text(args.out, csv)
     _write_text(args.summary_out, dumps_17({
         "command": "scan-gamma",
         "dim": args.dim,

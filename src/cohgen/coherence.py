@@ -31,16 +31,16 @@ def dephase(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entropy_bits(p: np.ndarray) -> np.ndarray:
-    """Shannon entropy along the last axis with the 0·log0 = 0 convention.
+def _log2_support(p: np.ndarray) -> np.ndarray:
+    """log₂ p entrywise, exactly 0 where p vanishes: the 0·log0 = 0 convention."""
+    return np.log2(np.where(p > ZERO_DIAG_TOL, p, 1.0))
 
-    Entries at or below ``ZERO_DIAG_TOL`` (after clamping negatives to zero)
-    are replaced by 1 so that their term, 1·log₂1, is exactly zero.
-    """
+
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy along the last axis, negatives clamped to zero first."""
     p = np.maximum(p, 0.0)
-    q = np.where(p > ZERO_DIAG_TOL, p, 1.0)
     # + 0.0 squashes IEEE -0.0
-    return np.maximum(-(q * np.log2(q)).sum(axis=-1), 0.0) + 0.0
+    return np.maximum(-(p * _log2_support(p)).sum(axis=-1), 0.0) + 0.0
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -67,10 +67,7 @@ def rel_entropy_coherence(rho: np.ndarray) -> float:
 def _masked_log2_diag(rho: np.ndarray):
     """Diagonal of ρ, its support mask, and log₂ of the diagonal (0 off support)."""
     d = np.asarray(rho).diagonal(axis1=-2, axis2=-1).real
-    support = d > ZERO_DIAG_TOL
-    logd = np.zeros_like(d)
-    logd[support] = np.log2(d[support])
-    return d, support, logd
+    return d, d > ZERO_DIAG_TOL, _log2_support(d)
 
 
 def coherence_commutator(rho: np.ndarray) -> np.ndarray:

@@ -153,18 +153,23 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# trajectory CSV
+# CSV tables
 
 TRAJECTORY_HEADER = "t,coherence_bits,entropy_bits"
 
 
-def trajectory_to_csv(traj) -> str:
-    """The CSV text of a trajectory: one row per time, each number as
-    :func:`format_float` writes it.  A non-finite value raises its error,
-    naming the first such value in row order."""
-    table = np.column_stack([traj.times, traj.coherence, traj.entropy])
+def csv_table(header: str, *columns) -> str:
+    """The CSV text of equal-length columns: the header line, then one row
+    per entry, each number as :func:`format_float` writes it.  A non-finite
+    value raises its error, naming the first such value in row order."""
+    table = np.column_stack(columns)
     finite = np.isfinite(table)
     if not finite.all():
         format_float(table[~finite][0])
-    rows = "%.17g,%.17g,%.17g\n" * len(table) % tuple(table.ravel().tolist())
-    return f"{TRAJECTORY_HEADER}\n{rows}"
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return f"{header}\n" + row * len(table) % tuple(table.ravel().tolist())
+
+
+def trajectory_to_csv(traj) -> str:
+    """The CSV text of a trajectory: one row per time (see :func:`csv_table`)."""
+    return csv_table(TRAJECTORY_HEADER, traj.times, traj.coherence, traj.entropy)

@@ -652,6 +652,21 @@ def test_zigzag_qubits_certify_on_a_live_restart(tmp_path, monkeypatch):
     assert len(calls) <= 6 * 3000 // 2
 
 
+def test_certification_is_one_rule_for_every_row():
+    # Every row stalls on the ceiling after _MAX_BACKTRACKS rejections with a
+    # gradient norm of 2: a stopped row certifies only under the same
+    # gradient guard as a running one, so none does.
+    ceiling = 1.5
+
+    def value_and_grad(x):
+        return np.full(len(x), ceiling), np.ones_like(x)
+
+    _, values, converged = _armijo_ascent(np.ones((3, 4)), value_and_grad, lambda x: x,
+                                          ceiling=ceiling)
+    assert (values == ceiling).all()
+    assert not converged.any()
+
+
 def _scale_bound(monkeypatch, factor):
     """Make capacity_numeric's ceiling ``factor`` times the proven one."""
     family = capacity.max_surprisal_variance

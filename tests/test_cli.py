@@ -12,6 +12,7 @@ import pytest
 
 import cohgen.capacity
 import cohgen.cli
+import cohgen.linalg
 import cohgen.verify
 from cohgen import (
     ConvergenceFailure,
@@ -89,6 +90,21 @@ def test_capacity_non_hermitian_input(tmp_path):
     f.write_text(dumps_17({"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]],
                            "im": [[0.0, 0.0], [0.0, 0.0]]}))
     assert main(["capacity", str(f)]) == 2
+
+
+@pytest.mark.parametrize("dim, checks", [(2, 2), (3, 1), (8, 1)])
+def test_capacity_checks_hermiticity_once_per_solver(dim, checks, tmp_path, monkeypatch):
+    # the CLI leaves the check to capacity_numeric and, at d = 2, capacity_qubit
+    check, shapes = cohgen.linalg._validate_hermitian_stack, []
+
+    def spy(m):
+        shapes.append(np.shape(m))
+        return check(m)
+
+    monkeypatch.setattr(cohgen.linalg, "_validate_hermitian_stack", spy)
+    hfile = _write_matrix(tmp_path / "h.json", optimal_hamiltonian(dim))
+    assert main(["capacity", hfile, "--restarts", "2"]) == 0
+    assert len(shapes) == checks
 
 
 def test_capacity_starved_solver_exits_3_but_writes_report(tmp_path, monkeypatch):

@@ -115,9 +115,19 @@ def test_trajectory_grid_must_ascend():
         trajectory(rho, h, np.array([0.0, 1.0, 0.5]))
 
 
+def test_an_overflowing_phase_reads_nan_not_coherence_zero():
+    # λt overflows at t = 1.7e308, so that point's populations are NaN; the
+    # entropy's 0·log0 rule must not turn them into a finite coherence
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+    h = np.array([[1.0, 0.5], [0.5, -1.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = trajectory(rho, h, np.array([0.0, 1.7e308]))
+    assert np.isfinite(traj.coherence[0]) and np.isnan(traj.coherence[1])
+
+
 @pytest.mark.parametrize("grid", [[math.nan], [0.0, math.inf], [-math.inf, 0.0]])
 def test_trajectory_grid_must_be_finite(grid):
-    # like evolve's t; unchecked, a NaN point reads as coherence 0 and entropy 0
+    # like evolve's t: a NaN or infinite time has no orbit point to sample
     rho = np.array([[0.8, 0.3], [0.3, 0.2]])
     with pytest.raises(ValueError, match="finite"):
         trajectory(rho, np.array([[0.0, 1.0], [1.0, 0.0]]), grid)

@@ -130,3 +130,12 @@ def test_values_name_the_numbers_of_capacity_and_verify_reports(tmp_path):
         {"name": "b", "passed": False, "residual": None}]}
     assert tool.report_values(verify) == {"a": 1e-15, "b": None}
     assert tool.report_values({"command": "optimal", "dim": 2}) is None
+
+
+def test_standard_runs_include_the_zigzag_qubits(tmp_path):
+    tool = _load_tool()
+    workloads = tool._load(os.path.join(ROOT, "perfbench", "workloads.py"), "report_workloads")
+    labels = [label for label, *_ in tool._requests(workloads, str(tmp_path))]
+    assert len(labels) == len(set(labels)) == 1352
+    for seed, group in [(35, 35), (69, 22), (80, 46), (203, 9), (314, 34), (316, 29)]:
+        assert f"capacity_group {seed} {group} random 2" in labels

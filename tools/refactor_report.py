@@ -16,7 +16,10 @@ SRC is the root of a checkout (it holds ``src/cohgen`` and
   wall times there).  The runs are ``verify fast --seed 0..49``, ``verify
   full --seed 0`` and ``--seed 7``, the verify requests of benchmark seeds
   0 and 310 for groups 0..599, ``capacity`` and ``evolve`` for benchmark
-  groups (0, 0), (0, 1), (310, 0) and (1, 5), ``capacity`` on one 3×3 H
+  groups (0, 0), (0, 1), (310, 0) and (1, 5), ``capacity`` on the random
+  d = 2 H of benchmark groups (35, 35), (69, 22), (80, 46), (203, 9),
+  (314, 34) and (316, 29) (zig-zag qubits, whose solves end only when a
+  running restart certifies on the ceiling), ``capacity`` on one 3×3 H
   of norm about 6e7 (it converges only because the gradient tolerance
   scales with ‖H‖₂), ``optimal`` for
   d = 2..32, ``scan-gamma`` for d = 2, 3, 7 and 40, and ten runs on bad
@@ -61,6 +64,9 @@ _LARGE_NORM_H = json.dumps({
            [10000000, 30000000, -5000000]],
     "im": [[0, 10000000, 0], [-10000000, 0, -20000000], [0, 20000000, 0]],
 })
+# (seed, group) of the benchmark's zig-zag qubits: on their random d = 2 H
+# every restart steps s, tries 2s, is rejected and steps s again.
+_ZIGZAG_GROUPS = ((35, 35), (69, 22), (80, 46), (203, 9), (314, 34), (316, 29))
 _QUBIT_STATE = json.dumps({"dim": 2, "re": [1, 0], "im": [0, 0]})
 _NAN_STATE = '{"dim": 2, "re": [[NaN, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}'
 _QUBIT_H = json.dumps({"dim": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]})
@@ -180,6 +186,10 @@ def _requests(workloads, workdir: str):
             for req in make(seed, group, workdir):
                 yield (f"{make.__name__} {seed} {group} {req.kind} {req.dim}",
                        req.argv, req.files, [req.out])
+    for seed, group in _ZIGZAG_GROUPS:
+        (req,) = [r for r in workloads.capacity_group(seed, group, workdir)
+                  if (r.kind, r.dim) == ("random", 2)]
+        yield f"capacity_group {seed} {group} random 2", req.argv, req.files, [req.out]
     yield ("capacity large-norm",
            ["capacity", out("h.json"), "--out", out("c.json")],
            {out("h.json"): _LARGE_NORM_H}, [out("c.json")])
