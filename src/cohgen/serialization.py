@@ -106,12 +106,17 @@ def _require_dim(obj) -> int:
 def _number_row(row, length: int, what: str) -> list:
     if not isinstance(row, list) or len(row) != length:
         raise ParseError(f"{what} must be a list of {length} numbers")
+    values = []
     for v in row:
         if not _is_number(v):
             raise ParseError(f"{what} contains non-number {v!r}")
-        if not math.isfinite(float(v)):
+        try:
+            values.append(float(v))
+        except OverflowError:  # an integer beyond the largest double
+            raise ParseError(f"{what} contains an integer too large for a double") from None
+        if not math.isfinite(values[-1]):
             raise ParseError(f"{what} contains non-finite value {v!r}")
-    return [float(v) for v in row]
+    return values
 
 
 def matrix_from_obj(obj) -> np.ndarray:
@@ -161,13 +166,18 @@ TRAJECTORY_HEADER = "t,coherence_bits,entropy_bits"
 def csv_table(header: str, *columns) -> str:
     """The CSV text of equal-length columns: the header line, then one row
     per entry, each number as :func:`format_float` writes it.  A non-finite
-    value raises its error, naming the first such value in row order."""
+    value raises its error, naming the first such value in row order.  A
+    column whose entries are bitwise equal (so 0.0 and -0.0 are not) is
+    formatted once, like a trajectory's entropy column."""
     table = np.column_stack(columns)
     finite = np.isfinite(table)
     if not finite.all():
         format_float(table[~finite][0])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return f"{header}\n" + row * len(table) % tuple(table.ravel().tolist())
+    bits = table.view(np.uint64)
+    once = (bits == bits[:1]).all(axis=0) & (len(table) > 0)
+    row = ",".join(["%.17g" % table[0, j] if once[j] else "%.17g"
+                    for j in range(table.shape[1])]) + "\n"
+    return f"{header}\n" + row * len(table) % tuple(table[:, ~once].ravel().tolist())
 
 
 def trajectory_to_csv(traj) -> str:

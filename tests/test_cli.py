@@ -261,6 +261,28 @@ def test_evolve_bad_grid(tmp_path):
         assert not out.exists(), grid
 
 
+def test_evolve_rejects_a_grid_whose_phase_overflows(tmp_path, capsys):
+    # λt overflows at t = 1.7e308 for |λ| ≈ 1.12: a typed error, no numpy
+    # warning (a test error here), no summary and no file
+    h = _write_matrix(tmp_path / "h.json", [[1.0, 0.5], [0.5, -1.0]])
+    s = _write_matrix(tmp_path / "rho.json", [[0.7, 0.2], [0.2, 0.3]])
+    out = tmp_path / "t.csv"
+    assert main(["evolve", s, h, "--grid", "0:1.7e308:2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+    assert not out.exists()
+
+
+def test_capacity_rejects_an_integer_too_large_for_a_double(tmp_path, capsys):
+    h = tmp_path / "h.json"
+    h.write_text('{"dim": 2, "re": [[0, %s], [1, 0]], "im": [[0, 0], [0, 0]]}' % ("9" * 400))
+    out = tmp_path / "c.json"
+    assert main(["capacity", str(h), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "too large for a double" in captured.err
+    assert not out.exists()
+
+
 def test_evolve_non_hermitian_hamiltonian_exits_2(tmp_path, capsys):
     h = _write_matrix(tmp_path / "h.json", [[0.0, 1.0], [0.0, 0.0]])
     s = _write_vector(tmp_path / "s.json", np.array([1.0, 0.0]))

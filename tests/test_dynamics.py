@@ -115,14 +115,16 @@ def test_trajectory_grid_must_ascend():
         trajectory(rho, h, np.array([0.0, 1.0, 0.5]))
 
 
-def test_an_overflowing_phase_reads_nan_not_coherence_zero():
-    # λt overflows at t = 1.7e308, so that point's populations are NaN; the
-    # entropy's 0·log0 rule must not turn them into a finite coherence
+def test_an_overflowing_phase_is_rejected():
+    # λt overflows at t = 1.7e308: the grid is finite but its phases are not,
+    # so no orbit point can be sampled; the error comes before any numpy
+    # overflow warning (a test error here)
     rho = np.array([[0.7, 0.2], [0.2, 0.3]])
     h = np.array([[1.0, 0.5], [0.5, -1.0]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = trajectory(rho, h, np.array([0.0, 1.7e308]))
-    assert np.isfinite(traj.coherence[0]) and np.isnan(traj.coherence[1])
+    with pytest.raises(ValueError, match="finite"):
+        trajectory(rho, h, np.array([0.0, 1.7e308]))
+    # the largest finite phase still samples the orbit
+    assert len(trajectory(rho, h, np.array([0.0, 1e307]))) == 2
 
 
 @pytest.mark.parametrize("grid", [[math.nan], [0.0, math.inf], [-math.inf, 0.0]])
@@ -158,25 +160,46 @@ def _state_near_the_cutoff(rng):
     return (rho + rho.conj().T) / 2
 
 
-@pytest.mark.parametrize("rank, d", [(rank, d) for rank in ("full", "pure") for d in (2, 3, 8, 32)]
-                         + [("rank2", 8), ("cutoff", 4)])
-def test_trajectory_matches_point_by_point_reference(rank, d):
-    rng = np.random.default_rng([d, rank == "pure"])
+def _kernel_taken(monkeypatch, rho, h):
+    """The name and block length of the kernel ``trajectory`` takes for (ρ, H)."""
+    taken = []
+    for name in ("_factor_kernel", "_pair_kernel"):
+        def spy(*args, kernel=getattr(cohgen.dynamics, name), name=name):
+            block, populations = kernel(*args)
+            taken.append((name, block))
+            return block, populations
+        monkeypatch.setattr(cohgen.dynamics, name, spy)
+    trajectory(rho, h, [0.0])
+    monkeypatch.undo()
+    (kernel,) = taken
+    return kernel
+
+
+def _state(rank, d, rng):
     if rank == "pure":
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         psi /= np.linalg.norm(psi)
-        rho = np.outer(psi, psi.conj())
-    elif rank == "rank2":
-        rho = random_density(d, rng, rank=2)
-    elif rank == "cutoff":
-        rho = _state_near_the_cutoff(rng)
-    else:
-        rho = random_density(d, rng, mix=0.1)
+        return np.outer(psi, psi.conj())
+    if rank == "cutoff":
+        return _state_near_the_cutoff(rng)
+    if rank == "full":
+        return random_density(d, rng, mix=0.1)
+    return random_density(d, rng, rank=int(rank.removeprefix("rank")))
+
+
+# full rank takes the pair route from d = 3 on; ranks 4 and 5 at d = 8 and
+# 16 and 17 at d = 32 sit on the two sides of its switch, 2r > d
+@pytest.mark.parametrize("rank, d", [(rank, d) for rank in ("full", "pure") for d in (2, 3, 8, 32)]
+                         + [("rank2", 8), ("cutoff", 4), ("rank4", 8), ("rank5", 8),
+                            ("rank16", 32), ("rank17", 32)])
+def test_trajectory_matches_point_by_point_reference(rank, d, monkeypatch):
+    rng = np.random.default_rng([d, rank == "pure"])
+    rho = _state(rank, d, rng)
     h = random_hermitian(d, rng)
-    # the block length of a full-rank state; a lower rank has longer blocks
-    block = max(1, cohgen.dynamics._BLOCK_ENTRIES // (d * d))
-    # grid lengths on both sides of a block edge, and a long multi-block grid;
-    # every grid is a prefix of the longest, so one reference run covers all
+    _, block = _kernel_taken(monkeypatch, rho, h)
+    # grid lengths on both sides of a block edge of the kernel taken, and a
+    # long multi-block grid; every grid is a prefix of the longest, so one
+    # reference run covers all
     lengths = sorted({1, block - 1, block, block + 1, 2000} - {0})
     full_grid = 0.002 * np.arange(lengths[-1])
     coh, ent = _reference_trajectory(rho, h, full_grid)
@@ -187,11 +210,22 @@ def test_trajectory_matches_point_by_point_reference(rank, d):
         assert np.abs(traj.entropy - ent[:n]).max() <= 1e-12
 
 
+@pytest.mark.parametrize("rank, d, kernel", [
+    ("pure", 2, "_factor_kernel"), ("full", 2, "_factor_kernel"), ("full", 3, "_pair_kernel"),
+    ("pure", 32, "_factor_kernel"), ("rank4", 8, "_factor_kernel"), ("rank5", 8, "_pair_kernel"),
+    ("rank16", 32, "_factor_kernel"), ("rank17", 32, "_pair_kernel"),
+    ("full", 64, "_pair_kernel"), ("full", 65, "_factor_kernel")])
+def test_trajectory_takes_the_pair_route_above_half_rank_up_to_d_64(rank, d, kernel, monkeypatch):
+    rng = np.random.default_rng(d)
+    assert _kernel_taken(monkeypatch, _state(rank, d, rng), random_hermitian(d, rng))[0] == kernel
+
+
 def test_trajectory_memory_does_not_grow_with_the_grid():
     # a (2000, 32, 32) complex stack is 32.8 MB; the blocks keep the working
     # set to a few of their 0.5 MB temporaries whatever the grid length, for
-    # a full-rank state (31 factor columns, 33 points a block) and a pure one
-    # (1 column, 1024 points a block); each short grid spans a whole block
+    # a full-rank state (the pair route: 496 level pairs, 66 points a block)
+    # and a pure one (the factor route: 1 column, 1024 points a block); each
+    # short grid spans a whole block
     rng = np.random.default_rng(14)
     rho, h = random_density(32, rng), random_hermitian(32, rng)
     psi = rng.standard_normal(32) + 1j * rng.standard_normal(32)

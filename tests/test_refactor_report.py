@@ -101,7 +101,7 @@ def test_api_table_lists_fields_members_bases_and_signatures(tmp_path):
 def test_bad_input_runs_exit_2_and_write_no_file(tmp_path):
     tool = _load_tool()
     runs = list(tool.bad_input_requests(str(tmp_path)))
-    assert len(runs) == 10
+    assert len(runs) == 12
     for label, argv, files, outputs in runs:
         for path, text in files.items():
             with open(path, "w", encoding="utf-8") as fh:
@@ -136,6 +136,6 @@ def test_standard_runs_include_the_zigzag_qubits(tmp_path):
     tool = _load_tool()
     workloads = tool._load(os.path.join(ROOT, "perfbench", "workloads.py"), "report_workloads")
     labels = [label for label, *_ in tool._requests(workloads, str(tmp_path))]
-    assert len(labels) == len(set(labels)) == 1352
+    assert len(labels) == len(set(labels)) == 1354
     for seed, group in [(35, 35), (69, 22), (80, 46), (203, 9), (314, 34), (316, 29)]:
         assert f"capacity_group {seed} {group} random 2" in labels

@@ -146,6 +146,18 @@ def test_matrix_parse_errors():
         parse_matrix_text('{"dim": 1, "re": [["x"]], "im": [[0]]}')
 
 
+def test_an_integer_too_large_for_a_double_is_a_parse_error():
+    # json reads a 400-digit entry as a Python int, which no double holds
+    huge = "9" * 400
+    with pytest.raises(ParseError, match="too large for a double"):
+        parse_matrix_text(f'{{"dim": 1, "re": [[{huge}]], "im": [[0]]}}')
+    with pytest.raises(ParseError, match="too large for a double"):
+        parse_state_text(f'{{"dim": 2, "re": [1, 0], "im": [0, -{huge}]}}')
+    # the largest integers a double holds still parse, rounded like json floats
+    big = parse_matrix_text(f'{{"dim": 1, "re": [[{10**308}]], "im": [[0]]}}')
+    assert big[0, 0].real == 1e308
+
+
 def test_state_text_dispatch():
     kind, vec = parse_state_text('{"dim": 2, "re": [0.6, 0.8], "im": [0.0, 0.0]}')
     assert kind == "pure"
@@ -189,10 +201,13 @@ def test_trajectory_csv_matches_the_per_row_writer(kind, d):
         rho = random_density(d, rng)
     traj = trajectory(rho, random_hermitian(d, rng), np.linspace(0.0, 7.3, 2000))
     assert trajectory_to_csv(traj) == _per_row_csv(traj)
-    # also -0.0, the extremes of a double and a time that is an integer
+    # also -0.0, the extremes of a double and a time that is an integer, and
+    # columns of one value (written once), of -0.0 alone, and of 0.0 and
+    # -0.0 mixed, which are equal as numbers but not as text
     edges = np.array([-0.0, 5e-324, 1.7976931348623157e308, 3.0])
-    odd = Trajectory(times=edges, coherence=edges[::-1].copy(), entropy=np.zeros(4))
-    assert trajectory_to_csv(odd) == _per_row_csv(odd)
+    for entropy in (np.zeros(4), np.full(4, -0.0), np.array([0.0, -0.0, 0.0, 0.0])):
+        odd = Trajectory(times=edges, coherence=edges[::-1].copy(), entropy=entropy)
+        assert trajectory_to_csv(odd) == _per_row_csv(odd)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

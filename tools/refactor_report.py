@@ -22,10 +22,12 @@ SRC is the root of a checkout (it holds ``src/cohgen`` and
   running restart certifies on the ceiling), ``capacity`` on one 3×3 H
   of norm about 6e7 (it converges only because the gradient tolerance
   scales with ‖H‖₂), ``optimal`` for
-  d = 2..32, ``scan-gamma`` for d = 2, 3, 7 and 40, and ten runs on bad
-  input that exit 2 and write no file (``capacity`` of a non-Hermitian H,
+  d = 2..32, ``scan-gamma`` for d = 2, 3, 7 and 40, and twelve runs on bad
+  input that exit 2 and write no file (``capacity`` of a non-Hermitian H
+  and of an H with a 400-digit entry,
   ``evolve`` with a qubit state and a qutrit H, ``evolve`` with a NaN
-  state, ``evolve --grid`` 5:1:3, 0:1:0 and 0:nan:3, ``optimal --dim 1``,
+  state, ``evolve --grid`` 5:1:3, 0:1:0 and 0:nan:3, ``evolve --grid
+  0:1.7e308:2`` under an H whose phase λt overflows, ``optimal --dim 1``,
   ``scan-gamma --dim 1``, ``scan-gamma --resolution 1`` and ``verify --seed -1``),
   so that a refactor of validation is compared too.  The benchmark requests are
   built by ``SRC/perfbench/workloads.py``.
@@ -73,6 +75,10 @@ _QUBIT_H = json.dumps({"dim": 2, "re": [[0, 1], [1, 0]], "im": [[0, 0], [0, 0]]}
 _NON_HERMITIAN_H = json.dumps({"dim": 2, "re": [[0, 1], [0, 0]], "im": [[0, 0], [0, 0]]})
 _QUTRIT_H = json.dumps({"dim": 3, "re": [[0, 1, 0], [1, 0, 1], [0, 1, 0]],
                         "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]})
+# Its eigenvalues ±1.118 overflow the phase λt at t = 1.7e308.
+_OVERFLOW_H = json.dumps({"dim": 2, "re": [[1, 0.5], [0.5, -1]], "im": [[0, 0], [0, 0]]})
+# An entry of 400 digits, which json reads as an int no double holds.
+_HUGE_ENTRY_H = '{"dim": 2, "re": [[0, %s], [1, 0]], "im": [[0, 0], [0, 0]]}' % ("9" * 400)
 
 
 def _docstring_lines(tree) -> set:
@@ -144,9 +150,10 @@ def bad_input_requests(workdir: str):
     def out(name):
         return os.path.join(workdir, name)
 
-    yield ("capacity non-Hermitian exit 2",
-           ["capacity", out("h.json"), "--out", out("c.json")],
-           {out("h.json"): _NON_HERMITIAN_H}, [out("c.json")])
+    for what, h in (("non-Hermitian", _NON_HERMITIAN_H), ("400-digit entry", _HUGE_ENTRY_H)):
+        yield (f"capacity {what} exit 2",
+               ["capacity", out("h.json"), "--out", out("c.json")],
+               {out("h.json"): h}, [out("c.json")])
     def evolve(grid):
         return ["evolve", out("state.json"), out("h.json"), "--grid", grid, "--out", out("t.csv")]
 
@@ -157,6 +164,8 @@ def bad_input_requests(workdir: str):
     for grid in ("5:1:3", "0:1:0", "0:nan:3"):
         yield (f"evolve --grid {grid} exit 2", evolve(grid),
                {out("state.json"): _QUBIT_STATE, out("h.json"): _QUBIT_H}, [out("t.csv")])
+    yield ("evolve --grid 0:1.7e308:2 exit 2", evolve("0:1.7e308:2"),
+           {out("state.json"): _QUBIT_STATE, out("h.json"): _OVERFLOW_H}, [out("t.csv")])
     yield "optimal --dim 1 exit 2", ["optimal", "--dim", "1", "--out", out("o.json")], {}, [out("o.json")]
     files = [out("s.csv"), out("s.json")]
     for bad in (["--dim", "1"], ["--dim", "2", "--resolution", "1"]):
